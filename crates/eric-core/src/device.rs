@@ -4,7 +4,6 @@ use crate::delta::{DeltaPackage, InstalledImage};
 use crate::error::EricError;
 use crate::package::Package;
 use eric_asm::Image;
-use eric_crypto::sha256::tree;
 use eric_hde::loader::{SecureInput, SecureLoader};
 use eric_hde::manifest::SignatureBlock;
 use eric_hde::timing::HdeCycles;
@@ -200,6 +199,13 @@ impl Device {
     /// cached per-segment digests — the resident state that later
     /// delta updates patch against.
     ///
+    /// The cached digests are the HDE's own leaf table
+    /// ([`LoadedProgram::leaves`](eric_hde::LoadedProgram::leaves)):
+    /// the leaves it recomputed, ct-compared against the manifest and
+    /// folded into the validated root in its one verification pass.
+    /// The plaintext is hashed once per install, not a second time
+    /// here.
+    ///
     /// Requires a segmented (`ERIC2`) package: the delta machinery is
     /// built on the per-segment leaf table, which a legacy `ERIC1`
     /// single-digest frame does not carry.
@@ -246,7 +252,6 @@ impl Device {
             nonce: package.nonce,
         };
         let loaded = self.loader.process(&input)?;
-        let leaves = tree::leaf_digests_batch(0, &loaded.plaintext, segment_len as usize);
         Ok(InstalledImage {
             payload: loaded.plaintext,
             text_len: loaded.text_len,
@@ -254,7 +259,7 @@ impl Device {
             data_base: package.data_base,
             entry: package.entry,
             segment_len,
-            leaves,
+            leaves: loaded.leaves,
         })
     }
 

@@ -86,6 +86,11 @@ pub struct LoadedProgram {
     pub text_len: usize,
     /// Cycles the HDE spent.
     pub cycles: HdeCycles,
+    /// Per-segment leaf digests of `plaintext`, in segment order: the
+    /// table the Signature Generator recomputed, ct-compared against
+    /// the shipped manifest and folded into the validated signed root
+    /// during this load. Empty for a v1 single-digest package.
+    pub leaves: Vec<Digest>,
 }
 
 impl fmt::Debug for LoadedProgram {
@@ -174,9 +179,10 @@ impl SecureLoader {
     /// Decrypt, re-hash, and validate a program (paper steps 5–6).
     ///
     /// On success the plaintext is released for loading into the SoC's
-    /// memory. On signature mismatch the program is rejected and *no
-    /// plaintext leaves the HDE* — exactly the property that defeats
-    /// wrong-device and tampering attacks.
+    /// memory, together with the v2 leaf table this pass verified
+    /// ([`LoadedProgram::leaves`]). On signature mismatch the program
+    /// is rejected and *no plaintext leaves the HDE* — exactly the
+    /// property that defeats wrong-device and tampering attacks.
     ///
     /// # Errors
     ///
@@ -290,6 +296,7 @@ impl SecureLoader {
             plaintext,
             text_len: input.text_len,
             cycles,
+            leaves: Vec::new(),
         })
     }
 
@@ -367,6 +374,7 @@ impl SecureLoader {
             plaintext,
             text_len: input.text_len,
             cycles,
+            leaves: computed,
         })
     }
 
@@ -514,6 +522,7 @@ mod tests {
             .expect("validates");
         assert_eq!(out.plaintext, payload);
         assert!(out.cycles.total() > 0);
+        assert!(out.leaves.is_empty(), "a v1 digest has no leaf table");
     }
 
     #[test]
@@ -815,6 +824,14 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{lanes} lanes: {e}"));
             assert_eq!(out.plaintext, payload, "{lanes} lanes");
             assert!(out.cycles.total() > 0);
+            // The returned table is the one-at-a-time leaf hash of the
+            // plaintext, whatever the lane split, ragged tail included.
+            let want: Vec<Digest> = payload
+                .chunks(64)
+                .enumerate()
+                .map(|(i, seg)| tree::leaf_digest(i as u64, seg))
+                .collect();
+            assert_eq!(out.leaves, want, "{lanes} lanes");
         }
     }
 

@@ -104,9 +104,9 @@ impl<'l> StreamingLoader<'l> {
     }
 
     /// Stream a full `ERIC2` wire frame and collect the verified
-    /// plaintext — the drop-in replacement for parsing a frame and
-    /// calling [`SecureLoader::process`], pinned byte-identical to it
-    /// by the conformance suite.
+    /// plaintext and leaf table — the drop-in replacement for parsing
+    /// a frame and calling [`SecureLoader::process`], pinned
+    /// byte-identical to it by the conformance suite.
     ///
     /// # Errors
     ///
@@ -118,13 +118,14 @@ impl<'l> StreamingLoader<'l> {
     /// authentication.
     pub fn process<R: Read>(&self, source: R) -> Result<LoadedProgram, HdeError> {
         let mut plaintext = Vec::new();
-        let report = self.process_with(source, |_, segment: &[u8]| {
+        let (report, leaves) = self.verify(source, |_, segment: &[u8]| {
             plaintext.extend_from_slice(segment);
         })?;
         Ok(LoadedProgram {
             plaintext,
             text_len: report.text_len,
             cycles: report.cycles,
+            leaves,
         })
     }
 
@@ -145,9 +146,20 @@ impl<'l> StreamingLoader<'l> {
     /// See [`StreamingLoader::process`].
     pub fn process_with<R: Read, F: FnMut(usize, &[u8])>(
         &self,
+        source: R,
+        sink: F,
+    ) -> Result<StreamReport, HdeError> {
+        self.verify(source, sink).map(|(report, _)| report)
+    }
+
+    /// The streaming verifier behind both entry points: also returns
+    /// the recomputed leaf table, every entry of which matched the
+    /// authenticated manifest.
+    fn verify<R: Read, F: FnMut(usize, &[u8])>(
+        &self,
         mut source: R,
         mut sink: F,
-    ) -> Result<StreamReport, HdeError> {
+    ) -> Result<(StreamReport, Vec<Digest>), HdeError> {
         // ---- Incremental header parse (the raw bytes are the AAD). ----
         let mut aad = read_chunk(&mut source, HEADER_FIXED_LEN, "header")?;
         let header = Header::parse(&aad)?;
@@ -179,7 +191,9 @@ impl<'l> StreamingLoader<'l> {
                  for a {payload_len}-byte payload"
             )));
         }
-        let mut shipped_leaves: Vec<[u8; 32]> = Vec::with_capacity(leaf_count);
+        // `leaf_count` is unauthenticated: grow the table only as leaves
+        // actually arrive, so a forged count costs what was sent.
+        let mut shipped_leaves: Vec<[u8; 32]> = Vec::new();
         for _ in 0..leaf_count {
             let leaf = read_chunk(&mut source, 32, "manifest leaf")?;
             shipped_leaves.push(leaf.as_slice().try_into().expect("len checked"));
@@ -284,14 +298,15 @@ impl<'l> StreamingLoader<'l> {
             });
         }
 
-        Ok(StreamReport {
+        let report = StreamReport {
             payload_len,
             text_len,
             segments: leaf_count,
             cycles: self.sequential_cycles(payload_len, leaf_count),
             peak_buffered,
             metadata_bytes,
-        })
+        };
+        Ok((report, recomputed))
     }
 
     /// Single-lane cycle model: the streaming pipeline decrypts and
@@ -403,9 +418,20 @@ fn read_map<R: Read>(source: &mut R, payload_len: usize) -> Result<(CoverageMap,
 
 /// Read exactly `n` bytes into a fresh buffer (metadata-sized reads
 /// only — payload segments reuse one buffer via [`read_exact`]).
+///
+/// `n` may come from an unauthenticated length field, so the buffer
+/// grows with the bytes actually received rather than being sized
+/// from `n` up front: a forged length on a short stream is a
+/// truncation error, not a large allocation.
 fn read_chunk<R: Read>(source: &mut R, n: usize, what: &str) -> Result<Vec<u8>, HdeError> {
-    let mut buf = vec![0u8; n];
-    read_exact(source, &mut buf, what)?;
+    let mut buf = Vec::new();
+    source
+        .take(n as u64)
+        .read_to_end(&mut buf)
+        .map_err(|e| HdeError::Malformed(format!("stream error at {what}: {e}")))?;
+    if buf.len() < n {
+        return Err(HdeError::Malformed(format!("truncated at {what}")));
+    }
     Ok(buf)
 }
 
@@ -629,6 +655,18 @@ mod tests {
             .process(forged.as_slice())
             .unwrap_err();
         assert!(matches!(err, HdeError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn forged_read_length_allocates_only_what_arrives() {
+        // A 1 TiB claim over a 3-byte stream: sized up front, this
+        // allocation would abort the process.
+        let err = read_chunk(&mut &[1u8, 2, 3][..], 1 << 40, "map bits").unwrap_err();
+        assert!(
+            matches!(&err, HdeError::Malformed(m) if m.contains("map bits")),
+            "{err}"
+        );
+        assert_eq!(read_chunk(&mut &[1u8, 2, 3][..], 2, "x").unwrap(), [1, 2]);
     }
 
     #[test]

@@ -141,6 +141,20 @@ fn relative_links_resolve() {
     );
 }
 
+/// The benchmarks guide keeps pointing at the repository benchmark;
+/// `relative_links_resolve` checks that both targets exist.
+#[test]
+fn benchmarks_doc_links_the_repository_benchmark() {
+    let guide = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/BENCHMARKS.md");
+    let targets = link_targets(&std::fs::read_to_string(guide).expect("guide readable"));
+    for want in ["../BENCHMARK.json", "../perfbench/README.md"] {
+        assert!(
+            targets.iter().any(|t| t == want),
+            "docs/BENCHMARKS.md no longer links {want}"
+        );
+    }
+}
+
 #[test]
 fn slugification_matches_github_rules() {
     assert_eq!(slugify("Hash engine dispatch"), "hash-engine-dispatch");

@@ -64,6 +64,11 @@ fn backpressure_bounds_buffers_under_a_slow_consumer() {
 /// A worker whose home shard is tiny steals from the longest shard
 /// instead of idling: every index is claimed exactly once and the
 /// short-shard worker provably claims work beyond its own range.
+///
+/// The home-1 worker is held until worker 0 has claimed its own 2
+/// indices plus one stolen one, so a schedule that runs the two
+/// threads back to back cannot drain shard 1 before worker 0 starts;
+/// after that both threads race for the rest of shard 1.
 #[test]
 fn work_stealing_rebalances_skewed_shards() {
     // Shard 0 holds 2 indices, shard 1 holds 198.
@@ -74,13 +79,16 @@ fn work_stealing_rebalances_skewed_shards() {
         for home in 0..2 {
             let (queue, hits, claimed_by_zero) = (&queue, &hits, &claimed_by_zero);
             scope.spawn(move || {
+                if home == 1 {
+                    // The count only gates progress; it publishes no data.
+                    while claimed_by_zero.load(Ordering::Relaxed) < 3 {
+                        std::thread::yield_now();
+                    }
+                }
                 while let Some(i) = queue.pop(home) {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                     if home == 0 {
                         claimed_by_zero.fetch_add(1, Ordering::Relaxed);
-                        // Slow the thief slightly less than the owner
-                        // would need: keeps both threads in the race.
-                        std::hint::black_box(i);
                     }
                 }
             });

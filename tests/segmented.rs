@@ -7,8 +7,10 @@
 //! two schemes recover byte-identical plaintext from the same image.
 
 use eric::core::{Device, EncryptionConfig, Package, SoftwareSource};
+use eric::crypto::sha256::tree;
 use eric::hde::loader::{SecureInput, SecureLoader};
 use eric::hde::manifest::{SegmentManifest, SignatureBlock};
+use eric::hde::policy::FieldPolicy;
 use eric::puf::crp::Challenge;
 use eric::puf::device::{PufDevice, PufDeviceConfig};
 use proptest::prelude::*;
@@ -118,6 +120,50 @@ fn v2_package_survives_device_install() {
         .unwrap();
     let delivered = Package::from_wire(&pkg.to_wire()).unwrap();
     assert_eq!(device.install_and_run(&delivered).unwrap().exit_code, 5);
+}
+
+/// `Device::install` caches the HDE's verified leaf table: its
+/// fingerprint equals the Merkle root of a one-leaf-at-a-time hash of
+/// the plaintext image, for every encryption mode and lane count.
+#[test]
+fn installed_fingerprint_is_the_reference_merkle_root() {
+    let source = SoftwareSource::new("seg-test");
+    let image = source.compile(PROGRAM, false).unwrap();
+    let plaintext = [image.text.as_slice(), image.data.as_slice()].concat();
+    let leaves: Vec<_> = plaintext
+        .chunks(SEGMENT_LEN as usize)
+        .enumerate()
+        .map(|(i, segment)| tree::leaf_digest(i as u64, segment))
+        .collect();
+    assert!(leaves.len() > 4, "the image must span several segments");
+    let reference = tree::merkle_root(&leaves);
+    for (mode, config) in [
+        ("full", EncryptionConfig::full()),
+        ("partial", EncryptionConfig::partial(0.5, 11)),
+        (
+            "field-level",
+            EncryptionConfig::field_level(FieldPolicy::AllButOpcode),
+        ),
+    ] {
+        let pkg = build(&config.with_segments(SEGMENT_LEN));
+        for lanes in [1, 2, 4] {
+            let mut device = Device::with_seed(SEED, "seg-test");
+            device.set_lanes(lanes);
+            let installed = device
+                .install(&pkg)
+                .unwrap_or_else(|e| panic!("{mode} at {lanes} lanes: {e}"));
+            assert_eq!(
+                installed.segments(),
+                leaves.len(),
+                "{mode} at {lanes} lanes"
+            );
+            assert_eq!(
+                installed.fingerprint(),
+                reference,
+                "{mode} at {lanes} lanes"
+            );
+        }
+    }
 }
 
 proptest! {

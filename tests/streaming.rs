@@ -11,7 +11,7 @@
 //! path exists for: peak payload residency is one segment buffer.
 
 use eric::core::{Device, EncryptionConfig, Package, SoftwareSource};
-use eric::hde::loader::{SecureInput, SecureLoader};
+use eric::hde::loader::{LoadedProgram, SecureInput, SecureLoader};
 use eric::hde::policy::FieldPolicy;
 use eric::hde::streaming::StreamingLoader;
 use eric::hde::HdeError;
@@ -93,28 +93,27 @@ fn device_loader() -> SecureLoader {
 }
 
 /// The buffered oracle: parse the wire frame and process it whole.
-fn buffered(loader: &SecureLoader, wire: &[u8]) -> Result<Vec<u8>, HdeError> {
+fn buffered(loader: &SecureLoader, wire: &[u8]) -> Result<LoadedProgram, HdeError> {
     let pkg = Package::from_wire(wire).expect("frame parses");
     let challenge = Challenge::from_bytes(&pkg.challenge);
-    loader
-        .process(&SecureInput {
-            payload: &pkg.payload,
-            aad: &pkg.aad(),
-            text_len: pkg.text_len as usize,
-            map: &pkg.map,
-            policy: pkg.policy,
-            signature: &pkg.signature,
-            cipher: pkg.cipher,
-            challenge: &challenge,
-            epoch: pkg.epoch,
-            nonce: pkg.nonce,
-        })
-        .map(|loaded| loaded.plaintext)
+    loader.process(&SecureInput {
+        payload: &pkg.payload,
+        aad: &pkg.aad(),
+        text_len: pkg.text_len as usize,
+        map: &pkg.map,
+        policy: pkg.policy,
+        signature: &pkg.signature,
+        cipher: pkg.cipher,
+        challenge: &challenge,
+        epoch: pkg.epoch,
+        nonce: pkg.nonce,
+    })
 }
 
 /// Every mode × every adversarial chunk size: the streamed plaintext
 /// is byte-identical to the buffered oracle, and peak payload
-/// residency never exceeds one segment.
+/// residency never exceeds one segment. Both loaders hand out the same
+/// verified leaf table.
 #[test]
 fn streaming_matches_buffered_across_modes_and_chunk_sizes() {
     let loader = device_loader();
@@ -122,7 +121,12 @@ fn streaming_matches_buffered_across_modes_and_chunk_sizes() {
     let chunks = [1, 7, sl - 1, sl, sl + 1, HEADER_STRADDLE, usize::MAX];
     for (mode, config) in modes() {
         let wire = build(&config).to_wire();
-        let want = buffered(&loader, &wire).expect("oracle accepts its own frame");
+        let LoadedProgram {
+            plaintext: want,
+            leaves: want_leaves,
+            ..
+        } = buffered(&loader, &wire).expect("oracle accepts its own frame");
+        assert_eq!(want_leaves.len(), want.len().div_ceil(sl), "{mode}");
         let streaming = StreamingLoader::new(&loader);
         for chunk in chunks {
             let mut streamed = Vec::new();
@@ -145,7 +149,38 @@ fn streaming_matches_buffered_across_modes_and_chunk_sizes() {
             .process(ChunkedReader::new(&wire, sl))
             .expect("process accepts");
         assert_eq!(loaded.plaintext, want);
+        assert_eq!(loaded.leaves, want_leaves, "{mode} leaf tables differ");
     }
+}
+
+/// A 98-byte forged `ERIC2` frame — a real header with `payload_len =
+/// u32::MAX` and no challenge, a full map, a zero root, `segment_len =
+/// 4` and `leaf_count = 2^30` — then end of stream. Sized from the
+/// unauthenticated count, the leaf table would be a 32 GiB allocation
+/// and abort the process; it must be a `Malformed` error instead.
+#[test]
+fn forged_leaf_count_is_an_error_not_an_abort() {
+    const HEADER_FIXED_LEN: usize = 57;
+    let wire = build(&EncryptionConfig::full().with_segments(SEGMENT_LEN)).to_wire();
+    let mut forged = wire[..HEADER_FIXED_LEN].to_vec();
+    forged[51..55].copy_from_slice(&u32::MAX.to_le_bytes()); // payload_len
+    forged[55..57].copy_from_slice(&0u16.to_le_bytes()); // challenge_len
+    forged.push(0); // full coverage map
+    forged.extend_from_slice(&[0; 32]); // encrypted root
+    forged.extend_from_slice(&4u32.to_le_bytes()); // segment_len
+    forged.extend_from_slice(&(1u32 << 30).to_le_bytes()); // leaf_count
+    assert_eq!(forged.len(), 98);
+    assert_eq!(
+        u32::MAX.div_ceil(4),
+        1 << 30,
+        "the count matches the geometry"
+    );
+
+    let loader = device_loader();
+    let err = StreamingLoader::new(&loader)
+        .process(forged.as_slice())
+        .unwrap_err();
+    assert!(matches!(err, HdeError::Malformed(_)), "{err}");
 }
 
 /// Truncating the stream at any prefix length is a clean
@@ -218,7 +253,7 @@ proptest! {
             .unwrap()
             .to_wire();
         let loader = device_loader();
-        let want = buffered(&loader, &wire).expect("oracle accepts");
+        let want = buffered(&loader, &wire).expect("oracle accepts").plaintext;
         let streaming = StreamingLoader::new(&loader);
         let mut streamed = Vec::new();
         let report = streaming
