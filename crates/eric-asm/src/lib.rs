@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The ERIC assembler: RISC-V assembly text → RV64GC machine code.
 //!
 //! The paper's prototype compiles benchmarks with a Clang/LLVM 11.1

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Benchmark harnesses regenerating every table and figure of the
 //! paper's evaluation (§IV), plus the ablations DESIGN.md calls out.
 //!

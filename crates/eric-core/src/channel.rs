@@ -10,7 +10,8 @@
 
 use crate::delta::{DeltaPackage, DELTA_PAYLOAD_LEN_OFFSET};
 use crate::error::EricError;
-use crate::package::{Package, PAYLOAD_LEN_OFFSET};
+use crate::package::Package;
+use eric_hde::wire::PAYLOAD_LEN_OFFSET;
 
 /// Adversarial actions on in-flight packages.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -54,15 +54,17 @@
 //! partially-patched state to observe, on any error path.
 
 use crate::error::EricError;
-use crate::package::{map_wire_len, write_map, WireReader};
+use crate::package::framing;
 use crate::source::{PreparedImage, SignaturePlan, SoftwareSource};
 use crate::PackagedFrame;
-use eric_crypto::cipher::CipherKind;
+use eric_crypto::cipher::{CipherKind, KeystreamCipher};
 use eric_crypto::sha256::{tree, Digest};
 use eric_hde::loader::SecureLoader;
 use eric_hde::manifest::signed_root;
-use eric_hde::map::{CoverageMap, ParcelBitmap};
+use eric_hde::map::CoverageMap;
 use eric_hde::transform::{manifest_stream_offset, transform_region, transform_signature};
+use eric_hde::verify::{FrameParams, SegmentVerifier};
+use eric_hde::wire::{map_wire_len, write_challenge, write_map, FrameHeader, FrameReader};
 use eric_hde::{FieldPolicy, HdeError};
 use eric_puf::crp::{Challenge, EnrollmentRecord};
 use std::fmt;
@@ -80,7 +82,7 @@ pub(crate) const DELTA_HEADER_FIXED_LEN: usize =
 
 /// Byte offset of the target-image `payload_len` field inside the
 /// fixed delta header (mirrors
-/// [`PAYLOAD_LEN_OFFSET`](crate::package::PAYLOAD_LEN_OFFSET) for full
+/// [`PAYLOAD_LEN_OFFSET`](eric_hde::wire::PAYLOAD_LEN_OFFSET) for full
 /// frames; the channel's payload-substitution attacker reads it).
 pub(crate) const DELTA_PAYLOAD_LEN_OFFSET: usize = 6 + 1 + 1 + 8 * 5 + 4;
 
@@ -97,6 +99,47 @@ fn changed_payload_bytes(changed: &[u32], payload_len: usize, segment_len: usize
         .iter()
         .map(|&i| segment_len.min(payload_len - i as usize * segment_len))
         .sum()
+}
+
+/// The `ERIC2D` header through the changed-segment index table — byte
+/// for byte the delta frame's AAD. [`DeltaPackage::aad`],
+/// [`DeltaPackage::serialize_into`] and the zero-copy packager
+/// ([`SoftwareSource::package_delta_into`]) all write it through here;
+/// the fields it shares with a full frame go through the full frame's
+/// [`FrameHeader`].
+struct DeltaHeader<'a> {
+    header: FrameHeader,
+    base_payload_len: u32,
+    segment_len: u32,
+    challenge: &'a [u8],
+    encrypted_base_digest: [u8; 32],
+    changed: &'a [u32],
+}
+
+impl DeltaHeader<'_> {
+    /// Serialized length of the header: the frame's AAD length.
+    fn wire_len(&self) -> usize {
+        DELTA_HEADER_FIXED_LEN + self.challenge.len() + 32 + 4 * self.changed.len()
+    }
+
+    /// Serialized length of the whole frame: the header, then `map`,
+    /// the root, one leaf per changed segment, and `segment_bytes` of
+    /// changed-segment payload.
+    fn frame_len(&self, map: &CoverageMap, segment_bytes: usize) -> usize {
+        self.wire_len() + map_wire_len(map) + 32 + 32 * self.changed.len() + segment_bytes
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        self.header.write(out);
+        out.extend_from_slice(&self.base_payload_len.to_le_bytes());
+        out.extend_from_slice(&self.segment_len.to_le_bytes());
+        out.extend_from_slice(&(self.changed.len() as u32).to_le_bytes());
+        write_challenge(out, self.challenge);
+        out.extend_from_slice(&self.encrypted_base_digest);
+        for &i in self.changed {
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+    }
 }
 
 /// A segment-granular diff between two prepared images, ready to be
@@ -251,45 +294,37 @@ impl DeltaPackage {
     /// The canonical AAD encoding: byte for byte the wire frame's
     /// header prefix, through the changed-segment index table.
     pub fn aad(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            DELTA_HEADER_FIXED_LEN + self.challenge.len() + 32 + 4 * self.changed.len(),
-        );
-        self.write_header(&mut out);
+        let header = self.header();
+        let mut out = Vec::with_capacity(header.wire_len());
+        header.write(&mut out);
         out
     }
 
-    fn write_header(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(DELTA_MAGIC);
-        out.push(self.cipher.wire_id());
-        out.push(self.policy.map_or(0xFF, FieldPolicy::wire_id));
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.nonce.to_le_bytes());
-        out.extend_from_slice(&self.text_base.to_le_bytes());
-        out.extend_from_slice(&self.data_base.to_le_bytes());
-        out.extend_from_slice(&self.entry.to_le_bytes());
-        out.extend_from_slice(&self.text_len.to_le_bytes());
-        out.extend_from_slice(&self.payload_len.to_le_bytes());
-        out.extend_from_slice(&self.base_payload_len.to_le_bytes());
-        out.extend_from_slice(&self.segment_len.to_le_bytes());
-        out.extend_from_slice(&(self.changed.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.challenge.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.challenge);
-        out.extend_from_slice(&self.encrypted_base_digest);
-        for &i in &self.changed {
-            out.extend_from_slice(&i.to_le_bytes());
+    fn header(&self) -> DeltaHeader<'_> {
+        DeltaHeader {
+            header: FrameHeader {
+                magic: DELTA_MAGIC,
+                cipher: self.cipher,
+                policy: self.policy,
+                epoch: self.epoch,
+                nonce: self.nonce,
+                text_base: self.text_base,
+                data_base: self.data_base,
+                entry: self.entry,
+                text_len: self.text_len,
+                payload_len: self.payload_len,
+            },
+            base_payload_len: self.base_payload_len,
+            segment_len: self.segment_len,
+            challenge: &self.challenge,
+            encrypted_base_digest: self.encrypted_base_digest,
+            changed: &self.changed,
         }
     }
 
     /// Serialized size in bytes, without serializing.
     pub fn wire_len(&self) -> usize {
-        DELTA_HEADER_FIXED_LEN
-            + self.challenge.len()
-            + 32
-            + 4 * self.changed.len()
-            + map_wire_len(&self.map)
-            + 32
-            + 32 * self.changed.len()
-            + self.segments.len()
+        self.header().frame_len(&self.map, self.segments.len())
     }
 
     /// Serialize to wire bytes.
@@ -304,7 +339,7 @@ impl DeltaPackage {
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.reserve(self.wire_len());
-        self.write_header(out);
+        self.header().write(out);
         write_map(out, &self.map);
         out.extend_from_slice(&self.encrypted_root);
         for leaf in &self.changed_leaves {
@@ -316,115 +351,74 @@ impl DeltaPackage {
 
     /// Deserialize an `ERIC2D` frame.
     ///
-    /// Structural validation happens here, in wire order, with the
-    /// same fail-before-allocate discipline as [`crate::Package::from_wire`]:
-    /// geometry claims are checked against bytes actually present
-    /// before any claim-sized allocation.
+    /// Structural validation happens here, in wire order, through the
+    /// field and coverage-map readers of the one frame parser
+    /// ([`FrameReader`]), which [`crate::Package::from_wire`] shares:
+    /// geometry claims are checked before anything is read under them,
+    /// and every buffer grows only with the bytes actually present.
     ///
     /// # Errors
     ///
     /// [`EricError::Package`] naming the offending field for bad
-    /// magic, unknown identifiers, bad geometry, a non-ascending or
-    /// out-of-range index table, or truncation.
+    /// magic, unknown identifiers, bad geometry, a non-canonical
+    /// coverage map, a non-ascending or out-of-range index table, or
+    /// truncation.
     pub fn from_wire(wire: &[u8]) -> Result<DeltaPackage, EricError> {
-        let err = |m: &str| EricError::Package(m.to_string());
-        let mut wire = WireReader::new(wire);
-        if wire.take(6, "magic")? != DELTA_MAGIC {
+        Self::read(&mut FrameReader::new(wire)).map_err(framing)
+    }
+
+    fn read(wire: &mut FrameReader<&[u8]>) -> Result<DeltaPackage, HdeError> {
+        let err = |m: &str| HdeError::Malformed(m.to_string());
+        if &wire.array::<6>("magic")? != DELTA_MAGIC {
             return Err(err("bad magic"));
         }
-        let cipher =
-            CipherKind::from_wire_id(wire.u8("cipher")?).ok_or_else(|| err("unknown cipher"))?;
-        let policy_id = wire.u8("policy")?;
-        let policy = if policy_id == 0xFF {
-            None
-        } else {
-            Some(FieldPolicy::from_wire_id(policy_id).ok_or_else(|| err("unknown policy"))?)
-        };
-        let epoch = wire.u64_le("epoch")?;
-        let nonce = wire.u64_le("nonce")?;
-        let text_base = wire.u64_le("text base")?;
-        let data_base = wire.u64_le("data base")?;
-        let entry = wire.u64_le("entry")?;
-        let text_len = wire.u32_le("text length")?;
-        let payload_len = wire.u32_le("payload length")?;
-        let base_payload_len = wire.u32_le("base payload length")?;
-        let segment_len = wire.u32_le("segment length")?;
-        if segment_len == 0 || segment_len % 4 != 0 {
+        let header = wire.header(DELTA_MAGIC)?;
+        let base_payload_len = wire.u32("base payload length")?;
+        let segment_len = wire.u32("segment length")?;
+        if segment_len == 0 || !segment_len.is_multiple_of(4) {
             return Err(err("bad segment length"));
         }
-        let changed_count = wire.u32_le("changed count")? as usize;
-        let new_count = (payload_len as usize).div_ceil(segment_len as usize);
+        let changed_count = wire.u32("changed count")? as usize;
+        let payload_len = header.payload_len as usize;
+        let new_count = payload_len.div_ceil(segment_len as usize);
         if changed_count > new_count {
             return Err(err("delta changes more segments than the image has"));
         }
-        let challenge_len = wire.u16_le("challenge length")? as usize;
-        let challenge = wire.take(challenge_len, "challenge")?.to_vec();
-        let mut encrypted_base_digest = [0u8; 32];
-        encrypted_base_digest.copy_from_slice(wire.take(32, "base digest")?);
-        // The index table is sized by an attacker-controlled count;
-        // the bytes must be present before the allocation (the count
-        // is already bounded by new_count, itself bounded only by the
-        // forgeable payload_len).
-        if (wire.remaining() as u64) < 4 * changed_count as u64 {
-            return Err(err("truncated at segment index table"));
-        }
-        let mut changed = Vec::with_capacity(changed_count);
+        let challenge = wire.challenge()?;
+        let encrypted_base_digest = wire.array("base digest")?;
+        // The index table, leaves and segments are sized by an
+        // attacker-controlled count: each grows only as its entries
+        // arrive.
+        let mut changed: Vec<u32> = Vec::new();
         for _ in 0..changed_count {
-            let i = wire.u32_le("segment index")?;
+            let i = wire.u32("segment index")?;
             if i as usize >= new_count {
                 return Err(err("segment index out of range"));
             }
-            if let Some(&last) = changed.last() {
-                if i <= last {
-                    return Err(err("segment index table not strictly ascending"));
-                }
+            if changed.last().is_some_and(|&last| i <= last) {
+                return Err(err("segment index table not strictly ascending"));
             }
             changed.push(i);
         }
-        let map = match wire.u8("map tag")? {
-            0 => CoverageMap::Full,
-            1 => {
-                let granularity = wire.u8("map granularity")? as u32;
-                if granularity != 2 && granularity != 4 {
-                    return Err(err("bad map granularity"));
-                }
-                let parcels = wire.u32_le("map parcels")? as usize;
-                let bits = wire.take(parcels.div_ceil(8), "map bits")?;
-                CoverageMap::Partial(ParcelBitmap::from_bytes_with_granularity(
-                    bits,
-                    parcels,
-                    granularity,
-                ))
-            }
-            _ => return Err(err("unknown map tag")),
-        };
-        let mut encrypted_root = [0u8; 32];
-        encrypted_root.copy_from_slice(wire.take(32, "signed root")?);
-        let seg_bytes = changed_payload_bytes(&changed, payload_len as usize, segment_len as usize);
-        if (wire.remaining() as u64) < 32 * changed_count as u64 + seg_bytes as u64 {
-            return Err(err("truncated at delta manifest"));
-        }
-        let mut changed_leaves = Vec::with_capacity(changed_count);
+        let map = wire.map(payload_len)?;
+        let encrypted_root = wire.array("signed root")?;
+        let mut changed_leaves = Vec::new();
         for _ in 0..changed_count {
-            let mut leaf = [0u8; 32];
-            leaf.copy_from_slice(wire.take(32, "changed leaf")?);
-            changed_leaves.push(leaf);
+            changed_leaves.push(wire.array("changed leaf")?);
         }
-        let segments = wire.take(seg_bytes, "delta payload")?.to_vec();
-        if text_len > payload_len {
-            return Err(err("text length exceeds payload"));
-        }
+        let seg_bytes = changed_payload_bytes(&changed, payload_len, segment_len as usize);
+        let segments = wire.bytes(seg_bytes, "delta payload")?;
         Ok(DeltaPackage {
-            cipher,
-            policy,
-            epoch,
-            nonce,
+            cipher: header.cipher,
+            policy: header.policy,
+            epoch: header.epoch,
+            nonce: header.nonce,
             challenge,
-            text_base,
-            data_base,
-            entry,
-            text_len,
-            payload_len,
+            text_base: header.text_base,
+            data_base: header.data_base,
+            entry: header.entry,
+            text_len: header.text_len,
+            payload_len: header.payload_len,
             base_payload_len,
             segment_len,
             changed,
@@ -638,46 +632,38 @@ impl SoftwareSource {
         let nonce = self.draw_nonce();
         let payload_len = delta.payload_len as usize;
         let segment_len = delta.segment_len as usize;
-        let challenge = cred.challenge.as_bytes();
-        let wire_len = DELTA_HEADER_FIXED_LEN
-            + challenge.len()
-            + 32
-            + 4 * delta.changed.len()
-            + map_wire_len(&delta.map)
-            + 32
-            + 32 * delta.changed.len()
-            + delta.segments.len();
-        out.reserve(wire_len);
 
         // The key is needed *before* the header is written: the base
         // fingerprint ships encrypted inside the AAD.
         let key = self.kmu().package_key(&cred.key, nonce);
         let cipher = delta.cipher.instantiate(key.as_bytes());
-
-        out.extend_from_slice(DELTA_MAGIC);
-        out.push(delta.cipher.wire_id());
-        out.push(delta.policy.map_or(0xFF, FieldPolicy::wire_id));
-        out.extend_from_slice(&delta.epoch.to_le_bytes());
-        out.extend_from_slice(&nonce.to_le_bytes());
-        out.extend_from_slice(&delta.text_base.to_le_bytes());
-        out.extend_from_slice(&delta.data_base.to_le_bytes());
-        out.extend_from_slice(&delta.entry.to_le_bytes());
-        out.extend_from_slice(&delta.text_len.to_le_bytes());
-        out.extend_from_slice(&delta.payload_len.to_le_bytes());
-        out.extend_from_slice(&delta.base_payload_len.to_le_bytes());
-        out.extend_from_slice(&delta.segment_len.to_le_bytes());
-        out.extend_from_slice(&(delta.changed.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(challenge.len() as u16).to_le_bytes());
-        out.extend_from_slice(challenge);
-        let mut base_digest = *delta.base_digest.as_bytes();
+        let mut encrypted_base_digest = *delta.base_digest.as_bytes();
         cipher.apply(
             base_digest_stream_offset(payload_len, delta.new_leaves.len()),
-            &mut base_digest,
+            &mut encrypted_base_digest,
         );
-        out.extend_from_slice(&base_digest);
-        for &i in &delta.changed {
-            out.extend_from_slice(&i.to_le_bytes());
-        }
+        let header = DeltaHeader {
+            header: FrameHeader {
+                magic: DELTA_MAGIC,
+                cipher: delta.cipher,
+                policy: delta.policy,
+                epoch: delta.epoch,
+                nonce,
+                text_base: delta.text_base,
+                data_base: delta.data_base,
+                entry: delta.entry,
+                text_len: delta.text_len,
+                payload_len: delta.payload_len,
+            },
+            base_payload_len: delta.base_payload_len,
+            segment_len: delta.segment_len,
+            challenge: cred.challenge.as_bytes(),
+            encrypted_base_digest,
+            changed: &delta.changed,
+        };
+        let wire_len = header.frame_len(&delta.map, delta.segments.len());
+        out.reserve(wire_len);
+        header.write(out);
         let aad_len = out.len();
 
         // The signed root folds the FULL new leaf table over the delta
@@ -725,13 +711,15 @@ impl SoftwareSource {
 /// half; [`Device::apply_delta`](crate::Device::apply_delta) is the
 /// public entry point).
 ///
-/// Validation runs strictly before mutation-visible work, in order:
-/// geometry against the installed image, epoch, index-table coverage,
-/// base fingerprint, then the Merkle root over the *reconstructed*
-/// full table (cached siblings + shipped diff). Only then is any
-/// payload byte decrypted, each patched segment re-checked against its
-/// authenticated leaf, and the whole patched image re-hashed against
-/// the signed root before a new [`InstalledImage`] is handed back.
+/// Geometry against the installed image is checked first; then the
+/// one [`SegmentVerifier`] runs the shared order. Its structural and
+/// epoch checks and key derivation come first. The base fingerprint
+/// is checked next, and the full new leaf table (cached siblings plus
+/// shipped diff) is rebuilt and authenticated against the signed root.
+/// Only then is any payload byte decrypted: each patched segment is
+/// checked against its authenticated leaf, and the whole patched image
+/// is re-hashed against the signed root before a new
+/// [`InstalledImage`] is handed back.
 pub(crate) fn apply(
     loader: &SecureLoader,
     installed: &InstalledImage,
@@ -739,7 +727,6 @@ pub(crate) fn apply(
 ) -> Result<InstalledImage, EricError> {
     let payload_len = delta.payload_len as usize;
     let segment_len = delta.segment_len as usize;
-    let text_len = delta.text_len as usize;
     if delta.segment_len != installed.segment_len {
         return Err(EricError::Package(format!(
             "delta segment length {} does not match installed image ({})",
@@ -753,85 +740,64 @@ pub(crate) fn apply(
             installed.payload.len()
         )));
     }
-    let device_epoch = loader.keys().epoch();
-    if delta.epoch != device_epoch {
-        return Err(HdeError::WrongEpoch {
-            package: delta.epoch,
-            device: device_epoch,
-        }
-        .into());
-    }
-    if delta.policy.is_some() && !text_len.is_multiple_of(4) {
-        return Err(HdeError::Malformed(format!(
-            "field-level delta with misaligned text length {text_len}"
-        ))
-        .into());
-    }
-    if let CoverageMap::Partial(bm) = &delta.map {
-        if bm.parcels() < payload_len.div_ceil(bm.granularity() as usize) {
-            return Err(
-                HdeError::Malformed("coverage map does not span the payload".into()).into(),
-            );
-        }
-    }
-    // Every segment past the installed table is new content and must
-    // be shipped — the cache has no digest to stand in for it.
-    let new_count = payload_len.div_ceil(segment_len);
-    for i in installed.leaves.len()..new_count {
-        if delta.changed.binary_search(&(i as u32)).is_err() {
-            return Err(EricError::Package(format!("delta omits new segment {i}")));
-        }
-    }
 
-    let challenge = Challenge::from_bytes(&delta.challenge);
-    let key = loader
-        .keys()
-        .package_key(&challenge, delta.epoch, delta.nonce);
-    let cipher = delta.cipher.instantiate(key.as_bytes());
-
-    // Base gate: this delta must name the image actually installed.
-    let mut base_digest = delta.encrypted_base_digest;
-    cipher.apply(
-        base_digest_stream_offset(payload_len, new_count),
-        &mut base_digest,
-    );
-    if !installed
-        .fingerprint()
-        .ct_eq(&Digest::from_bytes(base_digest))
-    {
-        return Err(EricError::Package(
-            "delta targets a different base image".into(),
-        ));
-    }
-
-    // Reconstruct the full new leaf table from cached siblings plus
-    // the shipped replacements, and authenticate it as a whole before
-    // any payload byte is decrypted.
-    let mut root = delta.encrypted_root;
-    transform_signature(&mut root, payload_len, cipher.as_ref());
-    let shipped_root = Digest::from_bytes(root);
-    let manifest_at = manifest_stream_offset(payload_len);
-    let mut table = Vec::with_capacity(new_count);
-    let mut next = 0usize;
-    for i in 0..new_count {
-        if next < delta.changed.len() && delta.changed[next] as usize == i {
-            let mut leaf = delta.changed_leaves[next];
-            cipher.apply(manifest_at + 32 * i as u64, &mut leaf);
-            table.push(Digest::from_bytes(leaf));
-            next += 1;
-        } else {
-            table.push(installed.leaves[i]);
-        }
-    }
     let aad = delta.aad();
-    let computed = signed_root(&aad, delta.segment_len, &table);
-    if !computed.ct_eq(&shipped_root) {
-        return Err(HdeError::SignatureMismatch {
-            computed,
-            shipped: shipped_root,
+    let challenge = Challenge::from_bytes(&delta.challenge);
+    let frame = FrameParams {
+        aad: &aad,
+        challenge: &challenge,
+        cipher: delta.cipher,
+        epoch: delta.epoch,
+        nonce: delta.nonce,
+        map: &delta.map,
+        policy: delta.policy,
+        text_len: delta.text_len as usize,
+        payload_len,
+    };
+    let new_count = payload_len.div_ceil(segment_len);
+    let table = |cipher: &dyn KeystreamCipher| {
+        // Base gate: this delta must name the image actually installed.
+        let mut base_digest = delta.encrypted_base_digest;
+        cipher.apply(
+            base_digest_stream_offset(payload_len, new_count),
+            &mut base_digest,
+        );
+        if !installed
+            .fingerprint()
+            .ct_eq(&Digest::from_bytes(base_digest))
+        {
+            return Err(EricError::Package(
+                "delta targets a different base image".into(),
+            ));
         }
-        .into());
-    }
+        // The full new leaf table: each shipped replacement decrypted at
+        // its natural manifest slot, every other segment from the cache.
+        // A segment past the installed table is new content and must be
+        // shipped — the cache has no digest to stand in for it.
+        let manifest_at = manifest_stream_offset(payload_len);
+        let mut shipped = delta.changed.iter().zip(&delta.changed_leaves).peekable();
+        (0..new_count)
+            .map(|i| match shipped.next_if(|(&c, _)| c as usize == i) {
+                Some((_, &leaf)) => {
+                    let mut leaf = leaf;
+                    cipher.apply(manifest_at + 32 * i as u64, &mut leaf);
+                    Ok(Digest::from_bytes(leaf))
+                }
+                None => installed
+                    .leaves
+                    .get(i)
+                    .copied()
+                    .ok_or_else(|| EricError::Package(format!("delta omits new segment {i}"))),
+            })
+            .collect()
+    };
+    let verifier = SegmentVerifier::authenticate(
+        loader,
+        frame,
+        delta.segment_len,
+        delta.encrypted_root,
+        table,
+    )?;
 
     // Patch into a fresh buffer: the installed image is never touched,
     // so no error path can leave a partially-patched image behind.
@@ -839,42 +805,23 @@ pub(crate) fn apply(
     payload.resize(payload_len, 0);
     let mut cursor = 0usize;
     for &i in &delta.changed {
-        let i = i as usize;
-        let start = i * segment_len;
+        let start = i as usize * segment_len;
         let len = segment_len.min(payload_len - start);
         let segment = &mut payload[start..start + len];
         segment.copy_from_slice(&delta.segments[cursor..cursor + len]);
         cursor += len;
-        transform_region(
-            segment,
-            start,
-            &delta.map,
-            delta.policy,
-            text_len,
-            cipher.as_ref(),
-        );
-        if !tree::leaf_digest(i as u64, segment).ct_eq(&table[i]) {
-            return Err(HdeError::SegmentMismatch { segment: i }.into());
-        }
+        verifier.verify_block(i as usize, segment)?;
     }
 
     // End-to-end re-verification: hash the ENTIRE patched image (not
     // just the diff) against the signed root, exactly as a full-frame
     // load would. A stale cache entry for an "unchanged" segment is
     // caught here rather than silently trusted.
-    let leaves = tree::leaf_digests_batch(0, &payload, segment_len);
-    let full = signed_root(&aad, delta.segment_len, &leaves);
-    if !full.ct_eq(&shipped_root) {
-        return Err(HdeError::SignatureMismatch {
-            computed: full,
-            shipped: shipped_root,
-        }
-        .into());
-    }
+    let leaves = verifier.finish(tree::leaf_digests_batch(0, &payload, segment_len))?;
 
     Ok(InstalledImage {
         payload,
-        text_len,
+        text_len: delta.text_len as usize,
         text_base: delta.text_base,
         data_base: delta.data_base,
         entry: delta.entry,

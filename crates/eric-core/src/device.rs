@@ -4,9 +4,10 @@ use crate::delta::{DeltaPackage, InstalledImage};
 use crate::error::EricError;
 use crate::package::Package;
 use eric_asm::Image;
-use eric_hde::loader::{SecureInput, SecureLoader};
+use eric_hde::loader::{LoadedProgram, SecureInput, SecureLoader};
 use eric_hde::manifest::SignatureBlock;
 use eric_hde::timing::HdeCycles;
+use eric_hde::HdeError;
 use eric_puf::crp::{respond, Challenge, EnrollmentRecord};
 use eric_puf::device::{PufDevice, PufDeviceConfig};
 use eric_sim::soc::{RunOutcome, Soc, SocConfig};
@@ -161,21 +162,7 @@ impl Device {
     /// [`EricError::Rejected`] when validation fails (tampering, wrong
     /// device, wrong epoch); [`EricError::Runtime`] for SoC faults.
     pub fn install_and_run(&mut self, package: &Package) -> Result<ExecutionReport, EricError> {
-        let aad = package.aad();
-        let challenge = Challenge::from_bytes(&package.challenge);
-        let input = SecureInput {
-            payload: &package.payload,
-            aad: &aad,
-            text_len: package.text_len as usize,
-            map: &package.map,
-            policy: package.policy,
-            signature: &package.signature,
-            cipher: package.cipher,
-            challenge: &challenge,
-            epoch: package.epoch,
-            nonce: package.nonce,
-        };
-        let loaded = self.loader.process(&input)?;
+        let loaded = self.verify(package)?;
         let (text, data) = loaded.plaintext.split_at(loaded.text_len);
         self.soc.load_raw(
             package.text_base,
@@ -237,21 +224,7 @@ impl Device {
             ));
         };
         let segment_len = manifest.segment_len();
-        let aad = package.aad();
-        let challenge = Challenge::from_bytes(&package.challenge);
-        let input = SecureInput {
-            payload: &package.payload,
-            aad: &aad,
-            text_len: package.text_len as usize,
-            map: &package.map,
-            policy: package.policy,
-            signature: &package.signature,
-            cipher: package.cipher,
-            challenge: &challenge,
-            epoch: package.epoch,
-            nonce: package.nonce,
-        };
-        let loaded = self.loader.process(&input)?;
+        let loaded = self.verify(package)?;
         Ok(InstalledImage {
             payload: loaded.plaintext,
             text_len: loaded.text_len,
@@ -260,6 +233,23 @@ impl Device {
             entry: package.entry,
             segment_len,
             leaves: loaded.leaves,
+        })
+    }
+
+    /// Decrypt and validate a package in the HDE (paper steps 5–6).
+    fn verify(&self, package: &Package) -> Result<LoadedProgram, HdeError> {
+        let challenge = Challenge::from_bytes(&package.challenge);
+        self.loader.process(&SecureInput {
+            payload: &package.payload,
+            aad: &package.aad(),
+            text_len: package.text_len as usize,
+            map: &package.map,
+            policy: package.policy,
+            signature: &package.signature,
+            cipher: package.cipher,
+            challenge: &challenge,
+            epoch: package.epoch,
+            nonce: package.nonce,
         })
     }
 

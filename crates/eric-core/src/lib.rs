@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! The ERIC framework: end-to-end software obfuscation.
 //!
 //! This crate assembles the substrates into the system the paper

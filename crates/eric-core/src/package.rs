@@ -22,6 +22,10 @@
 //!   twice: the parser rejects a manifest that does not cover the
 //!   payload, and the signed root binds segment length and leaf count.
 //!
+//! Both versions are written and parsed by the one frame codec,
+//! [`eric_hde::wire`], which the device's streaming loader reads
+//! through as well.
+//!
 //! Figure 5 counts package growth as: +256 signature bits always, plus
 //! 1 map bit per 16-bit parcel under partial encryption —
 //! [`SizeReport`] reproduces that accounting (v2 additionally counts
@@ -30,91 +34,21 @@
 
 use crate::error::EricError;
 use eric_crypto::cipher::CipherKind;
-use eric_hde::manifest::{SegmentManifest, SignatureBlock};
-use eric_hde::map::{CoverageMap, ParcelBitmap};
-use eric_hde::FieldPolicy;
+use eric_hde::manifest::SignatureBlock;
+use eric_hde::map::CoverageMap;
+use eric_hde::wire::{
+    map_wire_len, write_challenge, write_map, FrameHead, FrameHeader, FrameReader,
+    HEADER_FIXED_LEN, MAGIC_V1, MAGIC_V2,
+};
+use eric_hde::{FieldPolicy, HdeError};
 use std::fmt;
 
-/// Wire magic: "ERIC" + format version 1 (single-digest signature).
-pub(crate) const MAGIC_V1: &[u8; 5] = b"ERIC1";
-
-/// Wire magic: "ERIC" + format version 2 (segment-manifest signature).
-pub(crate) const MAGIC_V2: &[u8; 5] = b"ERIC2";
-
-/// Serialized length of the fixed header fields: magic + cipher +
-/// policy + epoch + nonce + text_base + data_base + entry + text_len +
-/// payload_len + challenge_len (the variable-length challenge follows).
-pub(crate) const HEADER_FIXED_LEN: usize = 5 + 1 + 1 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 2;
-
-/// Byte offset of the `payload_len` field inside the fixed header
-/// (everything before it is fixed-width).
-pub(crate) const PAYLOAD_LEN_OFFSET: usize = 5 + 1 + 1 + 8 * 5 + 4;
-
-/// The cleartext fields every wire frame opens with — and, byte for
-/// byte, the package's additional-authenticated-data encoding.
-///
-/// [`Package::aad`], [`Package::serialize_into`] (and through it
-/// [`Package::to_wire`]), and the zero-copy packager
-/// (`SoftwareSource::package_prepared_into`) all serialize the header
-/// through this one writer, so the bytes the signature covers and the
-/// bytes that hit the wire can never drift apart. That identity is
-/// what lets the zero-copy path sign `&frame[..aad_len]` in place
-/// instead of building a separate AAD scratch buffer.
-pub(crate) struct WireHeader<'a> {
-    pub(crate) magic: &'static [u8; 5],
-    pub(crate) cipher: CipherKind,
-    pub(crate) policy: Option<FieldPolicy>,
-    pub(crate) epoch: u64,
-    pub(crate) nonce: u64,
-    pub(crate) text_base: u64,
-    pub(crate) data_base: u64,
-    pub(crate) entry: u64,
-    pub(crate) text_len: u32,
-    pub(crate) payload_len: u32,
-    pub(crate) challenge: &'a [u8],
-}
-
-impl WireHeader<'_> {
-    /// Serialized header length (fixed fields plus the challenge).
-    pub(crate) fn wire_len(&self) -> usize {
-        HEADER_FIXED_LEN + self.challenge.len()
-    }
-
-    /// Append the canonical header encoding to `out`.
-    pub(crate) fn write(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.magic);
-        out.push(self.cipher.wire_id());
-        out.push(self.policy.map_or(0xFF, FieldPolicy::wire_id));
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.nonce.to_le_bytes());
-        out.extend_from_slice(&self.text_base.to_le_bytes());
-        out.extend_from_slice(&self.data_base.to_le_bytes());
-        out.extend_from_slice(&self.entry.to_le_bytes());
-        out.extend_from_slice(&self.text_len.to_le_bytes());
-        out.extend_from_slice(&self.payload_len.to_le_bytes());
-        out.extend_from_slice(&(self.challenge.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.challenge);
-    }
-}
-
-/// Append the coverage-map wire block (tag, geometry, bits).
-pub(crate) fn write_map(out: &mut Vec<u8>, map: &CoverageMap) {
-    match map {
-        CoverageMap::Full => out.push(0),
-        CoverageMap::Partial(bm) => {
-            out.push(1);
-            out.push(bm.granularity() as u8);
-            out.extend_from_slice(&(bm.parcels() as u32).to_le_bytes());
-            out.extend_from_slice(bm.to_bytes());
-        }
-    }
-}
-
-/// Serialized size of the coverage-map wire block.
-pub(crate) fn map_wire_len(map: &CoverageMap) -> usize {
-    match map {
-        CoverageMap::Full => 1,
-        CoverageMap::Partial(_) => 1 + 1 + 4 + map.wire_len(),
+/// A frame the shared parser refused is a package (framing) error, not
+/// an HDE verdict on the program.
+pub(crate) fn framing(e: HdeError) -> EricError {
+    match e {
+        HdeError::Malformed(m) => EricError::Package(m),
+        other => EricError::Rejected(other),
     }
 }
 
@@ -172,10 +106,15 @@ impl Package {
         }
     }
 
-    /// This package's header fields, viewed through the shared wire
-    /// writer (see [`WireHeader`]).
-    pub(crate) fn header(&self) -> WireHeader<'_> {
-        WireHeader {
+    /// This package's header fields, as the shared wire codec writes
+    /// them ([`FrameHeader`]). [`Package::aad`],
+    /// [`Package::serialize_into`] and the zero-copy packager
+    /// (`SoftwareSource::package_prepared_into`) all write the header
+    /// through it, so the bytes the signature covers and the bytes that
+    /// hit the wire can never drift apart. That identity is what lets
+    /// the zero-copy path sign `&frame[..aad_len]` in place.
+    pub(crate) fn header(&self) -> FrameHeader {
+        FrameHeader {
             magic: self.magic(),
             cipher: self.cipher,
             policy: self.policy,
@@ -186,7 +125,6 @@ impl Package {
             entry: self.entry,
             text_len: self.text_len,
             payload_len: self.payload.len() as u32,
-            challenge: &self.challenge,
         }
     }
 
@@ -197,9 +135,9 @@ impl Package {
     /// replayed as (or confused with) a v2 root. These are exactly the
     /// header prefix of the wire frame, byte for byte.
     pub fn aad(&self) -> Vec<u8> {
-        let header = self.header();
-        let mut out = Vec::with_capacity(header.wire_len());
-        header.write(&mut out);
+        let mut out = Vec::with_capacity(HEADER_FIXED_LEN + self.challenge.len());
+        self.header().write(&mut out);
+        write_challenge(&mut out, &self.challenge);
         out
     }
 
@@ -282,6 +220,7 @@ impl Package {
         out.clear();
         out.reserve(self.wire_len());
         self.header().write(out);
+        write_challenge(out, &self.challenge);
         write_map(out, &self.map);
         match &self.signature {
             SignatureBlock::Single { encrypted_digest } => {
@@ -303,107 +242,38 @@ impl Package {
         debug_assert_eq!(out.len(), self.wire_len());
     }
 
-    /// Deserialize from wire bytes.
+    /// Deserialize from wire bytes, through the one frame parser
+    /// ([`FrameReader::head`]) every device entry point shares.
     ///
     /// # Errors
     ///
-    /// Returns [`EricError::Package`] for bad magic, unknown cipher or
-    /// policy identifiers, or truncated input.
+    /// Returns [`EricError::Package`] naming the field for bad magic,
+    /// unknown cipher or policy identifiers, a non-canonical coverage
+    /// map, bad manifest geometry, or truncated input.
     pub fn from_wire(wire: &[u8]) -> Result<Package, EricError> {
-        let err = |m: &str| EricError::Package(m.to_string());
-        let mut wire = WireReader::new(wire);
-        let segmented = match wire.take(5, "magic")? {
-            m if m == MAGIC_V1 => false,
-            m if m == MAGIC_V2 => true,
-            _ => return Err(err("bad magic")),
-        };
-        let cipher =
-            CipherKind::from_wire_id(wire.u8("cipher")?).ok_or_else(|| err("unknown cipher"))?;
-        let policy_id = wire.u8("policy")?;
-        let policy = if policy_id == 0xFF {
-            None
-        } else {
-            Some(FieldPolicy::from_wire_id(policy_id).ok_or_else(|| err("unknown policy"))?)
-        };
-        let epoch = wire.u64_le("epoch")?;
-        let nonce = wire.u64_le("nonce")?;
-        let text_base = wire.u64_le("text base")?;
-        let data_base = wire.u64_le("data base")?;
-        let entry = wire.u64_le("entry")?;
-        let text_len = wire.u32_le("text length")?;
-        let payload_len = wire.u32_le("payload length")? as usize;
-        let challenge_len = wire.u16_le("challenge length")? as usize;
-        let challenge = wire.take(challenge_len, "challenge")?.to_vec();
-        let map = match wire.u8("map tag")? {
-            0 => CoverageMap::Full,
-            1 => {
-                let granularity = wire.u8("map granularity")? as u32;
-                if granularity != 2 && granularity != 4 {
-                    return Err(err("bad map granularity"));
-                }
-                let parcels = wire.u32_le("map parcels")? as usize;
-                let bits = wire.take(parcels.div_ceil(8), "map bits")?;
-                CoverageMap::Partial(ParcelBitmap::from_bytes_with_granularity(
-                    bits,
-                    parcels,
-                    granularity,
-                ))
-            }
-            _ => return Err(err("unknown map tag")),
-        };
-        let signature = if segmented {
-            let mut encrypted_root = [0u8; 32];
-            encrypted_root.copy_from_slice(wire.take(32, "signed root")?);
-            let segment_len = wire.u32_le("segment length")?;
-            if segment_len == 0 || segment_len % 4 != 0 {
-                return Err(err("bad segment length"));
-            }
-            let leaf_count = wire.u32_le("leaf count")? as usize;
-            // Geometry must match the payload *before* any leaf is
-            // read, so a forged count cannot mis-frame the payload
-            // that follows…
-            if leaf_count != payload_len.div_ceil(segment_len as usize) {
-                return Err(err("manifest does not cover payload"));
-            }
-            // …and the bytes must actually be present *before* any
-            // allocation: a forged payload_len would otherwise pass
-            // the (equally forged) geometry check and drive a huge
-            // `with_capacity` from ~70 attacker-controlled bytes.
-            if (wire.remaining() as u64) < 32 * leaf_count as u64 + payload_len as u64 {
-                return Err(err("truncated at manifest"));
-            }
-            let mut leaves = Vec::with_capacity(leaf_count);
-            for _ in 0..leaf_count {
-                let mut leaf = [0u8; 32];
-                leaf.copy_from_slice(wire.take(32, "manifest leaf")?);
-                leaves.push(leaf);
-            }
-            SignatureBlock::Segmented {
-                encrypted_root,
-                manifest: SegmentManifest::new(segment_len, leaves),
-            }
-        } else {
-            let mut encrypted_digest = [0u8; 32];
-            encrypted_digest.copy_from_slice(wire.take(32, "signature")?);
-            SignatureBlock::Single { encrypted_digest }
-        };
-        let payload = wire.take(payload_len, "payload")?.to_vec();
-        if text_len as usize > payload.len() {
-            return Err(err("text length exceeds payload"));
-        }
-        Ok(Package {
-            cipher,
-            policy,
-            epoch,
-            nonce,
+        let mut rest = wire;
+        let FrameHead {
+            header,
             challenge,
-            text_base,
-            data_base,
-            entry,
-            text_len,
             map,
             signature,
-            payload,
+        } = FrameReader::new(&mut rest).head().map_err(framing)?;
+        let payload = rest
+            .get(..header.payload_len as usize)
+            .ok_or_else(|| EricError::Package("truncated at payload".into()))?;
+        Ok(Package {
+            cipher: header.cipher,
+            policy: header.policy,
+            epoch: header.epoch,
+            nonce: header.nonce,
+            challenge,
+            text_base: header.text_base,
+            data_base: header.data_base,
+            entry: header.entry,
+            text_len: header.text_len,
+            map,
+            signature,
+            payload: payload.to_vec(),
         })
     }
 
@@ -418,56 +288,6 @@ impl Package {
             },
             wire_bytes: self.wire_len(),
         }
-    }
-}
-
-/// Minimal bounds-checked cursor over wire bytes (keeps the parser
-/// dependency-free; every read reports *where* truncation happened).
-/// Shared with the `ERIC2D` delta-frame parser in [`crate::delta`].
-pub(crate) struct WireReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> WireReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf }
-    }
-
-    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], EricError> {
-        if self.buf.len() < n {
-            return Err(EricError::Package(format!("truncated at {what}")));
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    /// Bytes left unread (for up-front length checks that must run
-    /// before allocating).
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, EricError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub(crate) fn u16_le(&mut self, what: &str) -> Result<u16, EricError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("len checked"),
-        ))
-    }
-
-    pub(crate) fn u32_le(&mut self, what: &str) -> Result<u32, EricError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("len checked"),
-        ))
-    }
-
-    pub(crate) fn u64_le(&mut self, what: &str) -> Result<u64, EricError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("len checked"),
-        ))
     }
 }
 
@@ -501,6 +321,8 @@ impl SizeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eric_hde::manifest::SegmentManifest;
+    use eric_hde::map::ParcelBitmap;
 
     fn sample(map: CoverageMap) -> Package {
         Package {
@@ -659,7 +481,7 @@ mod tests {
             let aad = p.aad();
             let wire = p.to_wire();
             assert_eq!(&wire[..aad.len()], &aad[..]);
-            assert_eq!(aad.len(), p.header().wire_len());
+            assert_eq!(aad.len(), HEADER_FIXED_LEN + p.challenge.len());
         }
     }
 

@@ -11,7 +11,7 @@
 
 use crate::config::{EncryptionConfig, EncryptionMode, SignatureScheme};
 use crate::error::EricError;
-use crate::package::{map_wire_len, write_map, Package, WireHeader, MAGIC_V1, MAGIC_V2};
+use crate::package::Package;
 use eric_asm::{assemble, AsmOptions, Image};
 use eric_crypto::kdf::KeyManagementUnit;
 use eric_crypto::sha256::{tree, Digest, Sha256};
@@ -20,6 +20,9 @@ use eric_hde::map::{CoverageMap, ParcelBitmap};
 use eric_hde::transform::{
     manifest_stream_offset, transform_manifest_leaves, transform_payload, transform_payload_into,
     transform_signature,
+};
+use eric_hde::wire::{
+    map_wire_len, write_challenge, write_map, FrameHeader, HEADER_FIXED_LEN, MAGIC_V1, MAGIC_V2,
 };
 use eric_puf::crp::EnrollmentRecord;
 use rand::rngs::StdRng;
@@ -639,7 +642,8 @@ impl SoftwareSource {
             SignaturePlan::Single => (MAGIC_V1, 32),
             SignaturePlan::Segmented { leaves, .. } => (MAGIC_V2, 32 + 4 + 4 + 32 * leaves.len()),
         };
-        let header = WireHeader {
+        let challenge = cred.challenge.as_bytes();
+        let header = FrameHeader {
             magic,
             cipher: prepared.cipher,
             policy: prepared.policy,
@@ -650,15 +654,18 @@ impl SoftwareSource {
             entry: prepared.entry,
             text_len: prepared.text_len,
             payload_len: payload_len as u32,
-            challenge: cred.challenge.as_bytes(),
         };
-        let wire_len =
-            header.wire_len() + map_wire_len(&prepared.map) + signature_len + payload_len;
+        let wire_len = HEADER_FIXED_LEN
+            + challenge.len()
+            + map_wire_len(&prepared.map)
+            + signature_len
+            + payload_len;
         out.reserve(wire_len);
 
         // Header first: its bytes are the AAD, so signing reads the
         // frame prefix instead of a separate scratch encoding.
         header.write(out);
+        write_challenge(out, challenge);
         let aad_len = out.len();
         let signature = match &prepared.signature_plan {
             SignaturePlan::Single => {

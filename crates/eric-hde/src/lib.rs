@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! The Hardware Decryption Engine (HDE) of ERIC.
 //!
 //! The paper's HDE sits between the untrusted outside world and the
@@ -31,6 +32,13 @@
 //! plaintext one segment at a time — O(segment) payload working set,
 //! never O(image).
 //!
+//! Every device entry point shares one frame parser and one segment
+//! verifier: [`wire`] reads (and the packager writes) the frame start
+//! — header, challenge, coverage map, signature block — from a slice
+//! or any byte stream, and [`verify::SegmentVerifier`] runs the v2
+//! checks in one order for the buffered loader, the streaming loader
+//! and `eric-core`'s delta patcher.
+//!
 //! Crucially, encryption and decryption are the *same* transform (XOR
 //! keystream involution), implemented once in [`transform`] and used by
 //! both the compiler side (`eric-core`) and the HDE — the two sides
@@ -46,6 +54,8 @@ pub mod streaming;
 pub mod timing;
 pub mod transform;
 pub mod units;
+pub mod verify;
+pub mod wire;
 
 pub use error::HdeError;
 pub use loader::{LoadedProgram, SecureInput, SecureLoader};

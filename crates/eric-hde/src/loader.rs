@@ -19,23 +19,24 @@
 //! * **v2 (segment manifest, the packager's default)** — the payload
 //!   is tiled into fixed-size segments, each with its own leaf digest,
 //!   and the signed value is the AAD-bound Merkle root
-//!   ([`crate::manifest`]). Segments are independent, so the loader
-//!   fans them across [`crate::parallel::map_segments`] lanes that
-//!   decrypt *and* leaf-hash in one pass — the hash work that v1
-//!   serializes scales with lane count. The sequential remainder (the
-//!   Merkle node fold) and ragged-tail leaves ride the same
-//!   single-stream dispatch as v1.
+//!   ([`crate::manifest`]). The loader runs the one
+//!   [`SegmentVerifier`] every v2 entry point shares. Segments are
+//!   independent, so it fans blocks of them across
+//!   [`crate::parallel::map_lane_blocks`] lanes that decrypt *and*
+//!   leaf-hash in one pass — the hash work that v1 serializes scales
+//!   with lane count. The sequential remainder (the Merkle node fold)
+//!   and ragged-tail leaves ride the same single-stream dispatch as v1.
 
 use crate::error::HdeError;
-use crate::manifest::{signed_root, SegmentManifest, SignatureBlock};
+use crate::manifest::{SegmentManifest, SignatureBlock};
 use crate::map::CoverageMap;
 use crate::policy::FieldPolicy;
 use crate::timing::{HdeCycles, HdeTimingConfig};
-use crate::transform::{transform_manifest_leaves, transform_region, transform_signature};
+use crate::transform::{transform_region, transform_signature};
 use crate::units::{KeyUnit, SignatureGenerator, ValidationUnit};
-use eric_crypto::cipher::{CipherKind, KeystreamCipher};
-use eric_crypto::ct::ct_eq;
-use eric_crypto::sha256::{tree, Digest};
+use crate::verify::{FrameParams, SegmentVerifier};
+use eric_crypto::cipher::CipherKind;
+use eric_crypto::sha256::Digest;
 use eric_puf::crp::Challenge;
 use eric_puf::device::PufDevice;
 use std::fmt;
@@ -180,83 +181,67 @@ impl SecureLoader {
     ///
     /// On success the plaintext is released for loading into the SoC's
     /// memory, together with the v2 leaf table this pass verified
-    /// ([`LoadedProgram::leaves`]). On signature mismatch the program
-    /// is rejected and *no plaintext leaves the HDE* — exactly the
+    /// ([`LoadedProgram::leaves`]). On any failure the program is
+    /// rejected and *no plaintext leaves the HDE* — exactly the
     /// property that defeats wrong-device and tampering attacks.
+    ///
+    /// A v2 load runs the [`SegmentVerifier`], with lanes as an
+    /// accelerator over its per-block check; a v1 load decrypts and
+    /// hashes the payload in one sequential pass.
     ///
     /// # Errors
     ///
-    /// [`HdeError::SignatureMismatch`] when the regenerated signature
-    /// (v1 digest or v2 signed root) differs from the shipped one;
-    /// [`HdeError::SegmentMismatch`] when a v2 segment's recomputed
-    /// leaf digest differs from the shipped manifest;
-    /// [`HdeError::Malformed`] for structurally invalid inputs.
+    /// The first failing check, in this order, which
+    /// [`StreamingLoader::process`](crate::StreamingLoader::process)
+    /// shares:
+    ///
+    /// 1. [`HdeError::Malformed`] for a structurally invalid input: a
+    ///    manifest that does not cover the payload, a text length past
+    ///    the payload, a map that does not span it, or a field-level
+    ///    package with misaligned text;
+    /// 2. [`HdeError::WrongEpoch`] for a package built for another key
+    ///    epoch;
+    /// 3. v2: [`HdeError::SignatureMismatch`] when the shipped manifest
+    ///    fails authentication against the signed root — a tampered
+    ///    root, leaf, nonce, challenge or AAD, or a package encrypted
+    ///    for another device;
+    /// 4. v2: [`HdeError::SegmentMismatch`] naming the first segment
+    ///    whose recomputed leaf differs from the authenticated manifest;
+    /// 5. [`HdeError::SignatureMismatch`] when the regenerated
+    ///    signature (v1 digest, or v2 root over the recomputed leaves)
+    ///    differs from the shipped one.
     pub fn process(&self, input: &SecureInput<'_>) -> Result<LoadedProgram, HdeError> {
-        if input.text_len > input.payload.len() {
-            return Err(HdeError::Malformed(format!(
-                "text length {} exceeds payload {}",
-                input.text_len,
-                input.payload.len()
-            )));
-        }
-        if let CoverageMap::Partial(bm) = input.map {
-            let needed = input.payload.len().div_ceil(bm.granularity() as usize);
-            if bm.parcels() < needed {
-                return Err(HdeError::Malformed(format!(
-                    "map covers {} parcels, payload has {}",
-                    bm.parcels(),
-                    needed
-                )));
-            }
-        }
-        if input.policy.is_some() && !input.text_len.is_multiple_of(4) {
-            return Err(HdeError::Malformed(format!(
-                "field-level package with misaligned text length {}",
-                input.text_len
-            )));
-        }
-        if let SignatureBlock::Segmented { manifest, .. } = input.signature {
-            if !manifest.covers_payload(input.payload.len()) {
-                return Err(HdeError::Malformed(format!(
-                    "manifest has {} leaves of {}-byte segments for a {}-byte payload",
-                    manifest.segments(),
-                    manifest.segment_len(),
-                    input.payload.len()
-                )));
-            }
-        }
-        // The KMU only derives keys for the device's *current* epoch;
-        // rotating the epoch therefore revokes every older package.
-        if input.epoch != self.keys.epoch() {
-            return Err(HdeError::WrongEpoch {
-                package: input.epoch,
-                device: self.keys.epoch(),
-            });
-        }
-        // Key derivation (PKG + KMU).
-        let key = self
-            .keys
-            .package_key(input.challenge, input.epoch, input.nonce);
-        let cipher = input.cipher.instantiate(key.as_bytes());
-
+        let frame = FrameParams {
+            aad: input.aad,
+            challenge: input.challenge,
+            cipher: input.cipher,
+            epoch: input.epoch,
+            nonce: input.nonce,
+            map: input.map,
+            policy: input.policy,
+            text_len: input.text_len,
+            payload_len: input.payload.len(),
+        };
         match input.signature {
             SignatureBlock::Single { encrypted_digest } => {
-                self.process_single(input, cipher.as_ref(), *encrypted_digest)
+                self.process_single(frame, input.payload, *encrypted_digest)
             }
             SignatureBlock::Segmented {
                 encrypted_root,
                 manifest,
-            } => self.process_segmented(input, cipher.as_ref(), *encrypted_root, manifest),
+            } => self.process_segmented(frame, input.payload, *encrypted_root, manifest),
         }
     }
 
     /// v1: one sequential decrypt→hash pipeline over the whole payload.
     fn process_single(
         &self,
-        input: &SecureInput<'_>,
-        cipher: &(dyn KeystreamCipher + Send + Sync),
+        frame: FrameParams<'_>,
+        payload: &[u8],
         encrypted_digest: [u8; 32],
     ) -> Result<LoadedProgram, HdeError> {
+        let cipher = frame.keystream(&self.keys)?;
+        let cipher = cipher.as_ref();
         // Decryption Unit + Signature Generator, pipelined: decrypt the
         // payload in bounded chunks and stream each decrypted chunk
         // straight into the hash — one pass over the data, the software
@@ -264,13 +249,13 @@ impl SecureLoader {
         // aligned so field-level policies never split an instruction
         // word across a chunk boundary.
         let mut gen = SignatureGenerator::new();
-        gen.absorb(input.aad);
-        let mut plaintext = input.payload.to_vec();
+        gen.absorb(frame.aad);
+        let mut plaintext = payload.to_vec();
         let mut at = 0usize;
         while at < plaintext.len() {
             let end = (at + STREAM_CHUNK).min(plaintext.len());
             let chunk = &mut plaintext[at..end];
-            transform_region(chunk, at, input.map, input.policy, input.text_len, cipher);
+            transform_region(chunk, at, frame.map, frame.policy, frame.text_len, cipher);
             gen.absorb(chunk);
             at = end;
         }
@@ -278,7 +263,7 @@ impl SecureLoader {
 
         // Signature continuation stream.
         let mut signature = encrypted_digest;
-        transform_signature(&mut signature, input.payload.len(), cipher);
+        transform_signature(&mut signature, payload.len(), cipher);
 
         // Validation Unit.
         let cycles = HdeCycles {
@@ -294,119 +279,53 @@ impl SecureLoader {
         }
         Ok(LoadedProgram {
             plaintext,
-            text_len: input.text_len,
+            text_len: frame.text_len,
             cycles,
             leaves: Vec::new(),
         })
     }
 
-    /// v2: fan segments across decryption lanes, each decrypting and
-    /// leaf-hashing its segments in one streaming pass, then verify
-    /// the AAD-bound Merkle root.
+    /// v2: authenticate the manifest, then fan contiguous blocks of
+    /// segments across decryption lanes. Each lane decrypts its block
+    /// and leaf-hashes it through the multi-buffer SHA-256 engine in
+    /// one batched call — no shared hash state between lanes (thread
+    /// parallelism), up to 8 leaves per compress within a lane (width
+    /// parallelism). This is what makes the signature check scale
+    /// where v1's single Merkle–Damgård chain cannot.
     fn process_segmented(
         &self,
-        input: &SecureInput<'_>,
-        cipher: &(dyn KeystreamCipher + Send + Sync),
+        frame: FrameParams<'_>,
+        payload: &[u8],
         encrypted_root: [u8; 32],
         manifest: &SegmentManifest,
     ) -> Result<LoadedProgram, HdeError> {
-        let segment_len = manifest.segment_len() as usize;
-        let payload_len = input.payload.len();
-
-        // Decrypt the shipped manifest leaves (keystream continuation
-        // after the root — see `transform::manifest_stream_offset`).
-        let mut shipped_leaves = manifest.leaves().to_vec();
-        transform_manifest_leaves(&mut shipped_leaves, payload_len, cipher);
-
-        // Lane fan-out: each lane owns a contiguous block of segments,
-        // decrypts it in bounded chunks, and then leaf-hashes all of
-        // its full segments through the multi-buffer SHA-256 engine in
-        // one batched call — no shared hash state between lanes
-        // (thread parallelism), up to 8 leaves per compress within a
-        // lane (width parallelism). This is what makes the signature
-        // check scale where v1's single Merkle–Damgård chain cannot.
-        let mut plaintext = input.payload.to_vec();
-        let computed: Vec<Digest> = crate::parallel::map_lane_blocks(
+        let verifier = SegmentVerifier::new(self, frame, encrypted_root, manifest)?;
+        let mut plaintext = payload.to_vec();
+        // Lanes report in segment order, so the first error collected
+        // names the first bad segment whatever the lane count.
+        let blocks = crate::parallel::map_lane_blocks(
             &mut plaintext,
-            segment_len,
+            manifest.segment_len() as usize,
             self.lanes,
-            |first_segment, start, block| {
-                let mut at = 0usize;
-                while at < block.len() {
-                    let end = (at + STREAM_CHUNK).min(block.len());
-                    transform_region(
-                        &mut block[at..end],
-                        start + at,
-                        input.map,
-                        input.policy,
-                        input.text_len,
-                        cipher,
-                    );
-                    at = end;
-                }
-                tree::leaf_digests_batch(first_segment as u64, block, segment_len)
-            },
+            |first, _, block| vec![verifier.verify_block(first, block)],
         );
-
-        // Per-segment validation: the first recomputed leaf that
-        // differs from the shipped manifest pins the tampered segment.
-        let cycles = self.segmented_cycles(payload_len, segment_len, computed.len());
-        for (index, (got, want)) in computed.iter().zip(&shipped_leaves).enumerate() {
-            if !ct_eq(got.as_bytes(), want) {
-                return Err(HdeError::SegmentMismatch { segment: index });
-            }
-        }
-
-        // Root validation: the signed value binds the AAD and the
-        // manifest geometry on top of the Merkle fold of the
-        // *recomputed* leaves, so a consistently forged manifest still
-        // fails here.
-        let computed_root = signed_root(input.aad, manifest.segment_len(), &computed);
-        let mut root = encrypted_root;
-        transform_signature(&mut root, payload_len, cipher);
-        if !self.validation.validate(&computed_root, &root) {
-            return Err(HdeError::SignatureMismatch {
-                computed: computed_root,
-                shipped: Digest::from_bytes(root),
-            });
-        }
+        let recomputed = blocks.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let leaves = verifier.finish(recomputed.concat())?;
         Ok(LoadedProgram {
             plaintext,
-            text_len: input.text_len,
-            cycles,
-            leaves: computed,
+            text_len: frame.text_len,
+            cycles: verifier.cycles(self.lanes),
+            leaves,
         })
-    }
-
-    /// Cycle model for an n-lane segmented load: decrypt and leaf
-    /// hashing split across lanes; the Merkle fold (one 64-byte
-    /// compression per interior node plus the root binding) stays
-    /// sequential but is O(segments), not O(bytes).
-    fn segmented_cycles(
-        &self,
-        payload_len: usize,
-        segment_len: usize,
-        segments: usize,
-    ) -> HdeCycles {
-        // Lanes own whole segments (⌈segments/lanes⌉ each, contiguous —
-        // see `parallel::map_segments`), so the critical path is the
-        // busiest lane's byte count, not payload/lanes: one segment on
-        // eight lanes still costs a full segment.
-        let per_lane = (segments.div_ceil(self.lanes) * segment_len).min(payload_len);
-        let fold_nodes = segments.saturating_sub(1) as u64 + 1;
-        HdeCycles {
-            decrypt: self.timing.decrypt_cycles(per_lane),
-            hash: self.timing.hash_cycles(per_lane) + fold_nodes * self.timing.sha_block_cycles,
-            validate: self.timing.validate_cycles,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::{transform_payload, transform_signature};
-    use eric_crypto::sha256::sha256;
+    use crate::manifest::signed_root;
+    use crate::transform::{transform_manifest_leaves, transform_payload};
+    use eric_crypto::sha256::{sha256, tree};
     use eric_puf::device::PufDeviceConfig;
 
     /// Encrypt a payload+signature the way the compiler side does (v1),
@@ -946,7 +865,8 @@ mod tests {
         else {
             panic!("v2 helper built a v2 block");
         };
-        // Flip a bit in one shipped leaf.
+        // Flip a bit in one shipped leaf: the manifest is authenticated
+        // before any segment is compared, so the root check fails first.
         let mut leaves = manifest.leaves().to_vec();
         leaves[1][0] ^= 1;
         let forged = SignatureBlock::Segmented {
@@ -955,7 +875,7 @@ mod tests {
         };
         assert!(matches!(
             loader(14).process(&segmented_input(&enc, &forged, &ch, 0, 9)),
-            Err(HdeError::SegmentMismatch { segment: 1 })
+            Err(HdeError::SignatureMismatch { .. })
         ));
         // Flip a bit in the root.
         let mut root = *encrypted_root;

@@ -97,7 +97,22 @@ impl ParcelBitmap {
     ///
     /// Panics if `bytes` is shorter than `parcels` requires.
     pub fn from_bytes(bytes: &[u8], parcels: usize) -> Self {
-        Self::from_bytes_with_granularity(bytes, parcels, 2)
+        assert!(
+            bytes.len() >= parcels.div_ceil(8),
+            "map truncated: {} bytes for {parcels} parcels",
+            bytes.len()
+        );
+        Self::from_parts(bytes[..parcels.div_ceil(8)].to_vec(), parcels, 2)
+    }
+
+    /// Assemble from bits already checked against the geometry:
+    /// exactly `⌈parcels / 8⌉` bytes and a granularity of 2 or 4.
+    pub(crate) fn from_parts(bits: Vec<u8>, parcels: usize, granularity: u32) -> Self {
+        ParcelBitmap {
+            bits,
+            parcels,
+            granularity,
+        }
     }
 
     /// Index of the first marked parcel at or after `from`, skipping
@@ -140,29 +155,6 @@ impl ParcelBitmap {
             return (i + rest.trailing_zeros() as usize).min(self.parcels);
         }
         self.parcels
-    }
-
-    /// Rebuild from raw bytes with an explicit parcel size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is shorter than `parcels` requires or the
-    /// granularity is not 2 or 4.
-    pub fn from_bytes_with_granularity(bytes: &[u8], parcels: usize, granularity: u32) -> Self {
-        assert!(
-            bytes.len() >= parcels.div_ceil(8),
-            "map truncated: {} bytes for {parcels} parcels",
-            bytes.len()
-        );
-        assert!(
-            granularity == 2 || granularity == 4,
-            "parcel granularity must be 2 or 4 bytes, got {granularity}"
-        );
-        ParcelBitmap {
-            bits: bytes[..parcels.div_ceil(8)].to_vec(),
-            parcels,
-            granularity,
-        }
     }
 }
 

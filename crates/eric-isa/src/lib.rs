@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! RV64GC instruction-set support for ERIC.
 //!
 //! ERIC's prototype targets RV64GC (Table I) and operates on *binaries*:

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Composable ISA-level obfuscation passes with sim-backed
 //! differential verification.
 //!

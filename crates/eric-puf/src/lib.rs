@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Physical unclonable function (PUF) models for ERIC.
 //!
 //! ERIC's root of trust is a delay-based **arbiter PUF** (paper §II-B,

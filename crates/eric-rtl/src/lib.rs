@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Structural FPGA resource model (Table II).
 //!
 //! The paper synthesizes Rocket Chip with and without the HDE on a

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The ERIC target-hardware model: an RV64GC SoC simulator.
 //!
 //! The paper's target hardware is a Rocket Chip (in-order, 6-stage,

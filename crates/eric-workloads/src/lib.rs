@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! MiBench-analog benchmark workloads for ERIC.
 //!
 //! The paper evaluates with MiBench programs "of different sizes ...

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # ERIC — An Efficient and Practical Software Obfuscation Framework
 //!
 //! This crate is the umbrella of a full reproduction of the DSN 2022 paper
