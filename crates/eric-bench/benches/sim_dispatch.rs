@@ -1,7 +1,6 @@
-//! Simulator dispatch — host-side throughput of the three execution
-//! engines (step interpreter, decoded-instruction cache, basic-block
-//! dispatch) over the full workload suite, plus the threaded fleet
-//! runner.
+//! Simulator dispatch — host-side throughput of the two execution
+//! engines (step interpreter, basic-block dispatch) over the full
+//! workload suite, plus the threaded fleet runner.
 //!
 //! The modeled counts are asserted bit-identical across engines; only
 //! host wall time may differ. Outside smoke mode the experiment
@@ -11,7 +10,7 @@ use eric_bench::output::{banner, write_bench_json, write_json};
 use eric_bench::sim_dispatch;
 
 fn main() {
-    banner("Simulator dispatch: execution-engine tiers");
+    banner("Simulator dispatch: step oracle vs block engine");
     let r = sim_dispatch();
     println!(
         "{:<8} {:>10} {:>9} {:>14} {:>15} {:>9}",

@@ -702,11 +702,12 @@ pub fn crypto_throughput() -> CryptoThroughputReport {
 /// One provisioning-fan-out row: batch throughput at a worker count.
 #[derive(Clone, Debug)]
 pub struct FanoutRow {
-    /// Worker threads in the provisioning pool.
+    /// Worker threads in the provisioning daemon.
     pub workers: usize,
-    /// Best-of-N wall clock of the per-device fan-out phase, millis.
+    /// Best-of-N wall clock from `submit` to the batch's last outcome,
+    /// millis.
     pub fanout_ms: f64,
-    /// Packages built per second during the fan-out phase.
+    /// Packages built per second over that span.
     pub packages_per_sec: f64,
     /// Throughput relative to the 1-worker row (or, when no 1-worker
     /// point was measured, to the first row).
@@ -728,18 +729,21 @@ pub struct FanoutReport {
     pub rows: Vec<FanoutRow>,
 }
 
-/// Scaling experiment for the batched provisioning service: compile a
+/// Scaling experiment for the provisioning daemon: compile a
 /// `data_bytes`-sized firmware image once, then measure packages/sec
-/// fanning it out to `devices` enrolled devices at each worker count
-/// (best of 3 runs per point). Per-device work is dominated by the
-/// SHA-256 signature + keystream encryption over the payload, which is
-/// exactly what the worker pool parallelizes.
+/// fanning it out to `devices` enrolled devices at each worker count.
+/// Each point starts a daemon with that many workers, warms its
+/// prepared-image cache and buffer pool with one untimed wave, and
+/// times `submit` to the last outcome (best of 3 waves). Per-device
+/// work is dominated by the SHA-256 signature + keystream encryption
+/// over the payload, which is exactly what the worker pool
+/// parallelizes.
 pub fn provisioning_fanout(
     devices: usize,
     data_bytes: usize,
     worker_counts: &[usize],
 ) -> FanoutReport {
-    use eric_core::ProvisioningService;
+    use eric_core::ProvisioningDaemon;
 
     let asm =
         format!(".data\nblob: .zero {data_bytes}\n.text\nmain:\n li a0, 0\n li a7, 93\n ecall\n");
@@ -757,14 +761,23 @@ pub fn provisioning_fanout(
     let runs = if crate::output::smoke_mode() { 1 } else { 3 };
     let mut rows: Vec<FanoutRow> = Vec::new();
     for &workers in worker_counts {
-        let service =
-            ProvisioningService::new(SoftwareSource::new("fanout-bench")).with_workers(workers);
-        let mut samples: Vec<Duration> = Vec::with_capacity(runs as usize);
-        for _ in 0..runs {
-            let report = service.provision_prepared(&prepared, &creds);
-            assert_eq!(report.succeeded(), devices, "batch must fully succeed");
-            samples.push(report.fanout);
-        }
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("fanout-bench"), workers);
+        let wave = || {
+            let creds = creds.clone();
+            let t0 = Instant::now();
+            let handle = daemon.submit(&image, &config, creds).unwrap();
+            let delivered = handle
+                .iter()
+                .take(devices)
+                .map(|o| handle.recycle(o.result.expect("batch must fully succeed")))
+                .count();
+            let elapsed = t0.elapsed();
+            assert_eq!(delivered, devices, "batch must fully succeed");
+            elapsed
+        };
+        wave(); // untimed: warms the prepared-image cache and the buffer pool
+        let mut samples: Vec<Duration> = (0..runs).map(|_| wave()).collect();
+        daemon.shutdown();
         let best = *samples.iter().min().expect("at least one run");
         crate::output::record(
             &format!("fanout-workers-{workers}"),
@@ -1286,13 +1299,13 @@ crate::impl_json_struct!(CryptoThroughputReport {
     compress_engine
 });
 // ---------------------------------------------------------------------
-// Simulator dispatch — execution-engine tiers + threaded fleet runner
+// Simulator dispatch — step oracle vs block engine + threaded fleet runner
 // ---------------------------------------------------------------------
 
 /// One engine row of the simulator-dispatch experiment.
 #[derive(Clone, Debug)]
 pub struct SimDispatchRow {
-    /// Engine name (`step`, `cached`, `block`).
+    /// Engine name (`step`, `block`).
     pub engine: String,
     /// Host wall time for one sequential pass over the suite, ms.
     pub wall_ms: f64,
@@ -1325,12 +1338,12 @@ pub struct SimDispatchReport {
     pub block_speedup: f64,
 }
 
-/// Measure host throughput of the three execution tiers over the whole
+/// Measure host throughput of both execution engines over the whole
 /// workload suite, then the suite again as one threaded batch.
 ///
 /// The modeled counts (instructions, cycles, cache stats) are asserted
-/// bit-identical across engines — the tiers may only differ in host
-/// wall time. Outside smoke mode this also enforces the release-build
+/// bit-identical across engines — they may only differ in host wall
+/// time. Outside smoke mode this also enforces the release-build
 /// performance floor: the block engine must be at least 5× faster than
 /// the step interpreter (`ERIC_BENCH_NO_FLOOR=1` skips the assert for
 /// profiling/bisecting runs while still reporting the measurement).
@@ -1355,7 +1368,7 @@ pub fn sim_dispatch() -> SimDispatchReport {
 
     let mut rows: Vec<SimDispatchRow> = Vec::new();
     let mut reference: Vec<RunOutcome> = Vec::new();
-    for engine in [EngineKind::Step, EngineKind::Cached, EngineKind::Block] {
+    for engine in [EngineKind::Step, EngineKind::Block] {
         let mut soc = Soc::new(SocConfig {
             engine,
             ..SocConfig::default()
@@ -1425,7 +1438,7 @@ pub fn sim_dispatch() -> SimDispatchReport {
         assert_eq!(out, want, "{}: batch run diverged", result.name);
     }
 
-    let block_speedup = rows[0].wall_ms / rows[2].wall_ms;
+    let block_speedup = rows[0].wall_ms / rows[1].wall_ms;
     let no_floor = std::env::var("ERIC_BENCH_NO_FLOOR").is_ok_and(|v| !v.is_empty() && v != "0");
     if !smoke && !no_floor {
         assert!(
@@ -1438,7 +1451,7 @@ pub fn sim_dispatch() -> SimDispatchReport {
         workloads: suite.len(),
         batch_workers: runner.workers(),
         batch_wall_ms,
-        batch_speedup: rows[2].wall_ms / batch_wall_ms,
+        batch_speedup: rows[1].wall_ms / batch_wall_ms,
         block_speedup,
         rows,
     }

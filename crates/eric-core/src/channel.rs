@@ -204,19 +204,27 @@ impl Channel {
     ///
     /// ```
     /// use eric_core::{
-    ///     Channel, Device, EncryptionConfig, ProvisioningService, SoftwareSource,
+    ///     Channel, Device, EncryptionConfig, Package, ProvisioningDaemon, SoftwareSource,
     /// };
     ///
     /// let mut fleet: Vec<Device> = (0..3)
     ///     .map(|i| Device::with_seed(200 + i, &format!("unit-{i}")))
     ///     .collect();
     /// let creds: Vec<_> = fleet.iter_mut().map(Device::enroll).collect();
-    /// let service = ProvisioningService::new(SoftwareSource::new("vendor"));
-    /// let packages = service
-    ///     .provision("main:\n li a0, 7\n li a7, 93\n ecall\n", &creds, &EncryptionConfig::full())
-    ///     .unwrap()
-    ///     .into_packages()
+    /// let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 2);
+    /// let image = daemon
+    ///     .source()
+    ///     .compile("main:\n li a0, 7\n li a7, 93\n ecall\n", false)
     ///     .unwrap();
+    /// let handle = daemon
+    ///     .submit(&image, &EncryptionConfig::full(), creds)
+    ///     .unwrap();
+    /// let mut outcomes: Vec<_> = handle.iter().collect();
+    /// outcomes.sort_by_key(|o| o.index);
+    /// let packages: Vec<Package> = outcomes
+    ///     .iter()
+    ///     .map(|o| Package::from_wire(&o.result.as_ref().unwrap().bytes).unwrap())
+    ///     .collect();
     ///
     /// let delivered = Channel::trusted_free().transmit_batch(&packages);
     /// for (device, received) in fleet.iter_mut().zip(&delivered) {
@@ -311,17 +319,22 @@ mod tests {
 
     #[test]
     fn batch_transmission_isolates_corruption() {
-        use crate::provisioning::ProvisioningService;
+        use crate::provisioning::ProvisioningDaemon;
         let mut devices: Vec<Device> = (0..3)
             .map(|i| Device::with_seed(20 + i, &format!("unit-{i}")))
             .collect();
         let creds: Vec<_> = devices.iter_mut().map(Device::enroll).collect();
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(2);
-        let packages = service
-            .provision(PROGRAM, &creds, &EncryptionConfig::full())
-            .unwrap()
-            .into_packages()
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 2);
+        let image = daemon.source().compile(PROGRAM, false).unwrap();
+        let handle = daemon
+            .submit(&image, &EncryptionConfig::full(), creds)
             .unwrap();
+        let mut outcomes: Vec<_> = handle.iter().collect();
+        outcomes.sort_by_key(|o| o.index);
+        let packages: Vec<Package> = outcomes
+            .iter()
+            .map(|o| Package::from_wire(&o.result.as_ref().unwrap().bytes).unwrap())
+            .collect();
         // An attacker substituting payloads hits every delivery, but
         // each device detects its own corrupted package independently.
         let ch = Channel::with_attacker(Attacker::SubstitutePayload { filler: 0xAA });

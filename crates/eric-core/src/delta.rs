@@ -17,18 +17,20 @@
 //! text_base ‖ data_base ‖ entry ‖ text_len ‖ payload_len ‖
 //! base_payload_len ‖ segment_len ‖ changed_count ‖
 //! challenge_len ‖ challenge ‖
-//! encrypted base_digest (32) ‖ changed segment indices (u32 LE each)
+//! encrypted base_digest (32) ‖ changed segment indices (u32 LE each) ‖
+//! map block
 //! ---------------------------- end of AAD ----------------------------
-//! map block ‖ encrypted root (32) ‖ changed leaves (32 each) ‖
+//! encrypted root (32) ‖ changed leaves (32 each) ‖
 //! changed segments (each encrypted at its absolute payload offset)
 //! ```
 //!
-//! Everything through the index table is the frame's additional
-//! authenticated data. The signed root is
-//! [`signed_root`]`(aad, segment_len, full_new_leaf_table)` — the root
-//! binds the **whole** new table, not just the shipped diff, so a frame
-//! that omits, duplicates, or reorders a changed segment cannot
-//! validate. The *base* fingerprint ships encrypted inside the AAD:
+//! Everything through the map block is the frame's additional
+//! authenticated data, so the signed root binds every map bit,
+//! including those over segments the delta does not ship. The signed
+//! root is [`signed_root`]`(aad, segment_len, full_new_leaf_table)` —
+//! the root binds the **whole** new table, not just the shipped diff,
+//! so a frame that omits, duplicates, or reorders a changed segment
+//! cannot validate. The *base* fingerprint ships encrypted inside the AAD:
 //! cleartext would hand an eavesdropper a confirmation oracle for the
 //! installed image, and keeping it inside the AAD lets the root bind it.
 //!
@@ -101,8 +103,8 @@ fn changed_payload_bytes(changed: &[u32], payload_len: usize, segment_len: usize
         .sum()
 }
 
-/// The `ERIC2D` header through the changed-segment index table — byte
-/// for byte the delta frame's AAD. [`DeltaPackage::aad`],
+/// The `ERIC2D` header through the coverage map block — byte for byte
+/// the delta frame's AAD. [`DeltaPackage::aad`],
 /// [`DeltaPackage::serialize_into`] and the zero-copy packager
 /// ([`SoftwareSource::package_delta_into`]) all write it through here;
 /// the fields it shares with a full frame go through the full frame's
@@ -114,19 +116,24 @@ struct DeltaHeader<'a> {
     challenge: &'a [u8],
     encrypted_base_digest: [u8; 32],
     changed: &'a [u32],
+    map: &'a CoverageMap,
 }
 
 impl DeltaHeader<'_> {
     /// Serialized length of the header: the frame's AAD length.
     fn wire_len(&self) -> usize {
-        DELTA_HEADER_FIXED_LEN + self.challenge.len() + 32 + 4 * self.changed.len()
+        DELTA_HEADER_FIXED_LEN
+            + self.challenge.len()
+            + 32
+            + 4 * self.changed.len()
+            + map_wire_len(self.map)
     }
 
-    /// Serialized length of the whole frame: the header, then `map`,
-    /// the root, one leaf per changed segment, and `segment_bytes` of
+    /// Serialized length of the whole frame: the header, then the
+    /// root, one leaf per changed segment, and `segment_bytes` of
     /// changed-segment payload.
-    fn frame_len(&self, map: &CoverageMap, segment_bytes: usize) -> usize {
-        self.wire_len() + map_wire_len(map) + 32 + 32 * self.changed.len() + segment_bytes
+    fn frame_len(&self, segment_bytes: usize) -> usize {
+        self.wire_len() + 32 + 32 * self.changed.len() + segment_bytes
     }
 
     fn write(&self, out: &mut Vec<u8>) {
@@ -139,6 +146,7 @@ impl DeltaHeader<'_> {
         for &i in self.changed {
             out.extend_from_slice(&i.to_le_bytes());
         }
+        write_map(out, self.map);
     }
 }
 
@@ -263,7 +271,8 @@ pub struct DeltaPackage {
     /// The base image's Merkle fingerprint, encrypted (part of the
     /// AAD, so the signed root binds it).
     pub encrypted_base_digest: [u8; 32],
-    /// The target image's encryption coverage map.
+    /// The target image's encryption coverage map (the AAD's last
+    /// block, so the signed root binds it).
     pub map: CoverageMap,
     /// The signed Merkle root over the full new leaf table, encrypted.
     pub encrypted_root: [u8; 32],
@@ -292,7 +301,7 @@ impl fmt::Debug for DeltaPackage {
 
 impl DeltaPackage {
     /// The canonical AAD encoding: byte for byte the wire frame's
-    /// header prefix, through the changed-segment index table.
+    /// header prefix, through the coverage map block.
     pub fn aad(&self) -> Vec<u8> {
         let header = self.header();
         let mut out = Vec::with_capacity(header.wire_len());
@@ -319,12 +328,13 @@ impl DeltaPackage {
             challenge: &self.challenge,
             encrypted_base_digest: self.encrypted_base_digest,
             changed: &self.changed,
+            map: &self.map,
         }
     }
 
     /// Serialized size in bytes, without serializing.
     pub fn wire_len(&self) -> usize {
-        self.header().frame_len(&self.map, self.segments.len())
+        self.header().frame_len(self.segments.len())
     }
 
     /// Serialize to wire bytes.
@@ -340,7 +350,6 @@ impl DeltaPackage {
         out.clear();
         out.reserve(self.wire_len());
         self.header().write(out);
-        write_map(out, &self.map);
         out.extend_from_slice(&self.encrypted_root);
         for leaf in &self.changed_leaves {
             out.extend_from_slice(leaf);
@@ -660,8 +669,9 @@ impl SoftwareSource {
             challenge: cred.challenge.as_bytes(),
             encrypted_base_digest,
             changed: &delta.changed,
+            map: &delta.map,
         };
-        let wire_len = header.frame_len(&delta.map, delta.segments.len());
+        let wire_len = header.frame_len(delta.segments.len());
         out.reserve(wire_len);
         header.write(out);
         let aad_len = out.len();
@@ -671,8 +681,6 @@ impl SoftwareSource {
         // plus the shipped diff, so any omission or substitution in
         // the diff breaks the root.
         let signature = signed_root(out, delta.segment_len, &delta.new_leaves);
-
-        write_map(out, &delta.map);
         let mut sig_bytes = *signature.as_bytes();
         transform_signature(&mut sig_bytes, payload_len, cipher.as_ref());
         out.extend_from_slice(&sig_bytes);

@@ -124,7 +124,7 @@ impl Device {
     ///
     /// Batch provisioning enrolls a whole fleet this way and hands the
     /// records to
-    /// [`ProvisioningService::provision`](crate::ProvisioningService::provision):
+    /// [`ProvisioningDaemon::submit`](crate::ProvisioningDaemon::submit):
     ///
     /// ```
     /// use eric_core::Device;

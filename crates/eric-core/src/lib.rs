@@ -13,8 +13,8 @@
 //! * [`source`] — the software source: compile → sign → encrypt →
 //!   package (paper steps 2–3).
 //! * [`provisioning`] — batch enrollment and package fan-out: compile
-//!   once, cache the prepared artifact, build per-device packages on a
-//!   worker pool with per-device failure isolation.
+//!   once, cache the prepared artifact, build per-device frames on a
+//!   resident worker pool with per-device failure isolation.
 //! * [`device`] — a target device: arbiter PUF + HDE + RV64GC SoC;
 //!   enrollment, secure installation, and execution (steps 1, 5, 6).
 //! * [`channel`] — the untrusted transport between them (step 4), with
@@ -79,8 +79,8 @@ pub use device::{Device, ExecutionReport};
 pub use error::{EricError, FaultClass, TransportFault};
 pub use package::{Package, SizeReport};
 pub use provisioning::{
-    BatchHandle, BatchReport, BufferPool, CacheLookup, CacheStats, DaemonHealth, DeviceOutcome,
-    FanoutStats, PackagingHook, PreparedImageCache, ProvisioningDaemon, ProvisioningService,
-    RecvTimeout, ShardQueue, SubmitError, WireFrame, WireOutcome,
+    BatchHandle, BufferPool, CacheLookup, CacheStats, DaemonHealth, PackagingHook,
+    PreparedImageCache, ProvisioningDaemon, RecvTimeout, ShardQueue, SubmitError, WireFrame,
+    WireOutcome,
 };
 pub use source::{BuildTimings, PackagedFrame, PreparedImage, SoftwareSource};

@@ -1,13 +1,9 @@
 //! Long-running sharded provisioning daemon.
 //!
-//! [`ProvisioningService`](crate::ProvisioningService) is a one-shot
-//! fan-out: it spawns a worker scope per batch and tears it down when
-//! the batch completes. A provisioning *service* under continuous load
-//! (the ROADMAP's millions-of-devices north star) wants the opposite
-//! shape — a resident pool fed by a queue, so consecutive waves pay
-//! zero thread-spawn cost, share one [`PreparedImageCache`], and
-//! recycle transmit buffers instead of allocating a payload-sized
-//! `Vec` per device.
+//! A provisioning service under continuous load wants a resident pool
+//! fed by a queue, so consecutive waves pay zero thread-spawn cost,
+//! share one [`PreparedImageCache`], and recycle transmit buffers
+//! instead of allocating a payload-sized `Vec` per device.
 //!
 //! [`ProvisioningDaemon`] is that service. Its steady-state loop is
 //! allocation-free per device:
@@ -724,9 +720,16 @@ impl ProvisioningDaemon {
             done: AtomicUsize::new(0),
         });
         let mut queue = lock_clean(&self.shared.queue);
-        while queue.jobs.len() >= self.shared.queue_depth {
+        loop {
+            // Checked under the lock on every pass, the first included:
+            // a worker exits only after seeing `shutdown` with no job
+            // left under this same lock, so a job pushed here is always
+            // claimed by a live worker.
             if self.shared.shutdown.load(Ordering::Relaxed) {
                 return Err(SubmitError::ShutDown);
+            }
+            if queue.jobs.len() < self.shared.queue_depth {
+                break;
             }
             queue = match wait {
                 Wait::Block => self
@@ -832,7 +835,13 @@ impl ProvisioningDaemon {
     /// Call [`ProvisioningDaemon::shutdown`] — or drop the daemon —
     /// to join the workers afterwards.
     pub fn begin_shutdown(&self) {
+        // Set under the queue lock that every check before parking
+        // holds: a worker or producer that read `false` there is
+        // parked by the time the wake-ups below go out, so none is
+        // lost.
+        let queue = lock_clean(&self.shared.queue);
         self.shared.shutdown.store(true, Ordering::Relaxed);
+        drop(queue);
         self.shared.work_cv.notify_all();
         self.shared.state_cv.notify_all();
     }

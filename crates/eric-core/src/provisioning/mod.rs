@@ -1,4 +1,4 @@
-//! Batched multi-device provisioning: one compile, many packages.
+//! Fleet provisioning: one compile, many device-bound frames.
 //!
 //! Paper §III-1: "ERIC is suitable for compiling from a single
 //! software source for multiple target hardware ... ERIC does not have
@@ -8,29 +8,60 @@
 //! the compile and coverage-map construction are device-independent
 //! and should be paid once.
 //!
-//! [`ProvisioningService`] splits the pipeline accordingly: it
-//! compiles and prepares the image **once** (caching the immutable
-//! [`PreparedImage`], whose seed-deterministic coverage map is safe to
-//! share across devices), then fans the per-device work — nonce
-//! allocation, signing over the device-bound AAD, encryption under the
-//! device's PUF-derived key — across a
-//! [`std::thread::scope`] worker pool. Failures are isolated per
-//! device: one stale credential produces one failed
-//! [`DeviceOutcome`], not an aborted batch.
+//! The resident [`ProvisioningDaemon`] splits the pipeline
+//! accordingly. The device-independent half is served from the
+//! epoch-keyed [`PreparedImageCache`], whose immutable
+//! [`PreparedImage`]s (with their seed-deterministic coverage maps)
+//! are shared across devices. The per-device half — nonce allocation,
+//! signing over the device-bound AAD, encryption under the device's
+//! PUF-derived key — fans out across a worker pool that stays alive
+//! across waves and writes each wire frame into a recycled buffer.
+//! Failures are isolated per device: one stale credential produces one
+//! failed [`WireOutcome`], not an aborted batch.
 //!
-//! Two delivery shapes share one fan-out implementation:
-//! [`ProvisioningService::run_with_sink`] streams each outcome to a
-//! caller-supplied sink the moment its worker finishes (bounded
-//! memory — at most `workers` packages in flight), and
-//! [`ProvisioningService::provision_prepared`] is the
-//! collect-into-a-`Vec` wrapper for callers that want the whole
-//! [`BatchReport`] at once.
+//! # Examples
 //!
-//! For *continuous* load the one-shot service is superseded by the
-//! resident [`daemon::ProvisioningDaemon`], which keeps a worker pool
-//! alive across waves, serves repeated preparations from the
-//! epoch-keyed [`cache::PreparedImageCache`], and recycles transmit
-//! buffers so steady-state packaging allocates nothing per device.
+//! Provision a 16-device fleet in two waves (this is the README's
+//! "Provisioning at scale" example, kept compile-tested here):
+//!
+//! ```
+//! use eric_core::{Device, EncryptionConfig, Package, ProvisioningDaemon, SoftwareSource};
+//!
+//! // Enroll a 16-device fleet (each with a physically-unique PUF).
+//! let mut fleet: Vec<Device> = (0..16)
+//!     .map(|i| Device::with_seed(1000 + i, &format!("fleet/unit-{i}")))
+//!     .collect();
+//! let creds: Vec<_> = fleet.iter_mut().map(Device::enroll).collect();
+//!
+//! // Compile once; 4 resident workers build the device-bound frames.
+//! let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 4);
+//! let image = daemon
+//!     .source()
+//!     .compile("main:\n li a0, 42\n li a7, 93\n ecall\n", false)
+//!     .unwrap();
+//!
+//! // Wave 1 prepares and caches the image; wave 2 is a pure cache hit.
+//! for wave in 0..2 {
+//!     let handle = daemon
+//!         .submit(&image, &EncryptionConfig::full(), creds.clone())
+//!         .unwrap();
+//!     assert_eq!(handle.cache_hit(), wave > 0);
+//!     // Outcomes arrive in completion order; `index` names the device,
+//!     // and every device accepts exactly its own frame.
+//!     for outcome in handle.iter() {
+//!         let frame = outcome.result.unwrap();
+//!         let package = Package::from_wire(&frame.bytes).unwrap();
+//!         let run = fleet[outcome.index].install_and_run(&package).unwrap();
+//!         assert_eq!(run.exit_code, 42);
+//!         handle.recycle(frame); // the buffer returns to the daemon pool
+//!     }
+//! }
+//! assert_eq!(daemon.health().completed_devices, 32);
+//! daemon.shutdown(); // finishes every accepted batch, then joins
+//! ```
+//!
+//! [`SoftwareSource::build`]: crate::SoftwareSource::build
+//! [`PreparedImage`]: crate::PreparedImage
 
 pub mod cache;
 pub mod daemon;
@@ -41,320 +72,14 @@ pub use daemon::{
     ShardQueue, SubmitError, WireFrame, WireOutcome,
 };
 
-use crate::config::EncryptionConfig;
-use crate::error::EricError;
-use crate::package::Package;
-use crate::source::{PreparedImage, SoftwareSource};
-use eric_asm::Image;
-use eric_puf::crp::EnrollmentRecord;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-/// What happened to one device of a batch.
-#[derive(Debug)]
-pub struct DeviceOutcome {
-    /// Position of this device in the input credential list. Sink
-    /// consumers receive outcomes in *completion* order; this is how
-    /// they tie one back to its device.
-    pub index: usize,
-    /// The device the package was built for (from its enrollment
-    /// record).
-    pub device_id: String,
-    /// Wall-clock the worker spent on this device (sign + encrypt).
-    pub elapsed: Duration,
-    /// The built package, or why this device failed. A failure here
-    /// never affects sibling devices.
-    pub result: Result<Package, EricError>,
-}
-
-/// Timing of one streamed fan-out ([`ProvisioningService::run_with_sink`]).
-#[derive(Clone, Copy, Debug)]
-pub struct FanoutStats {
-    /// Wall clock of the parallel per-device phase.
-    pub fanout: Duration,
-    /// Worker threads the fan-out actually used.
-    pub workers: usize,
-}
-
-/// Report of one batch run: per-device outcomes plus the amortized
-/// compile cost and fan-out wall clock.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// One outcome per enrollment record, in input order.
-    pub outcomes: Vec<DeviceOutcome>,
-    /// One-time cost: compilation plus device-independent preparation
-    /// (payload assembly, coverage-map construction). Zero when the
-    /// caller supplied an already-prepared image.
-    pub prepare: Duration,
-    /// Wall clock of the parallel per-device phase.
-    pub fanout: Duration,
-    /// Worker threads the fan-out actually used.
-    pub workers: usize,
-    /// Plaintext payload size per package, bytes.
-    pub payload_bytes: usize,
-}
-
-impl BatchReport {
-    /// Number of devices in the batch.
-    pub fn devices(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Number of successfully built packages.
-    pub fn succeeded(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.result.is_ok()).count()
-    }
-
-    /// Number of per-device failures.
-    pub fn failed(&self) -> usize {
-        self.devices() - self.succeeded()
-    }
-
-    /// The successfully built packages, in input order.
-    pub fn packages(&self) -> impl Iterator<Item = &Package> {
-        self.outcomes.iter().filter_map(|o| o.result.as_ref().ok())
-    }
-
-    /// All packages, or the first per-device error (for callers that
-    /// treat any failure as fatal).
-    ///
-    /// # Errors
-    ///
-    /// The first failed device's error.
-    pub fn into_packages(self) -> Result<Vec<Package>, EricError> {
-        self.outcomes
-            .into_iter()
-            .map(|o| o.result)
-            .collect::<Result<Vec<_>, _>>()
-    }
-
-    /// Aggregate throughput of the fan-out phase, packages per second
-    /// (counts only successes; the compile cost is amortized and
-    /// excluded — see [`BatchReport::total`]).
-    pub fn packages_per_sec(&self) -> f64 {
-        self.succeeded() as f64 / self.fanout.as_secs_f64().max(f64::EPSILON)
-    }
-
-    /// End-to-end batch wall clock: preparation + fan-out.
-    pub fn total(&self) -> Duration {
-        self.prepare + self.fanout
-    }
-}
-
-/// Batch enrollment-and-packaging front end over a [`SoftwareSource`].
-///
-/// # Examples
-///
-/// Provision a 16-device fleet in one call (this is the README's
-/// "Provisioning at scale" example, kept compile-tested here):
-///
-/// ```
-/// use eric_core::{Device, EncryptionConfig, ProvisioningService, SoftwareSource};
-///
-/// // Enroll a 16-device fleet (each with a physically-unique PUF).
-/// let mut fleet: Vec<Device> = (0..16)
-///     .map(|i| Device::with_seed(1000 + i, &format!("fleet/unit-{i}")))
-///     .collect();
-/// let creds: Vec<_> = fleet.iter_mut().map(Device::enroll).collect();
-///
-/// // Compile once, build 16 device-bound packages on 4 workers.
-/// let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(4);
-/// let report = service
-///     .provision(
-///         "main:\n li a0, 42\n li a7, 93\n ecall\n",
-///         &creds,
-///         &EncryptionConfig::full(),
-///     )
-///     .unwrap();
-/// assert_eq!(report.succeeded(), 16);
-/// println!(
-///     "{} packages on {} workers: {:.0} packages/sec",
-///     report.succeeded(), report.workers, report.packages_per_sec(),
-/// );
-///
-/// // Every device accepts exactly its own package.
-/// for (device, package) in fleet.iter_mut().zip(report.packages()) {
-///     assert_eq!(device.install_and_run(package).unwrap().exit_code, 42);
-/// }
-/// ```
-#[derive(Debug)]
-pub struct ProvisioningService {
-    source: SoftwareSource,
-    workers: usize,
-}
-
-impl ProvisioningService {
-    /// Wrap a software source; the worker count defaults to the
-    /// host's available parallelism.
-    pub fn new(source: SoftwareSource) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        ProvisioningService { source, workers }
-    }
-
-    /// Set the worker-pool width (builder style). Clamped to at
-    /// least 1; the fan-out never spawns more workers than devices.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// The worker-pool width.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The wrapped software source.
-    pub fn source(&self) -> &SoftwareSource {
-        &self.source
-    }
-
-    /// Compile `asm_source` once, then build one package per
-    /// enrollment record on the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Compilation and configuration errors fail the whole batch (no
-    /// device could succeed). Per-device failures are isolated inside
-    /// the returned [`BatchReport`].
-    pub fn provision(
-        &self,
-        asm_source: &str,
-        creds: &[EnrollmentRecord],
-        config: &EncryptionConfig,
-    ) -> Result<BatchReport, EricError> {
-        let t0 = Instant::now();
-        let image = self.source.compile(asm_source, config.compress)?;
-        let prepared = self.source.prepare_image(&image, config)?;
-        let prepare = t0.elapsed();
-        let mut report = self.provision_prepared(&prepared, creds);
-        report.prepare = prepare;
-        Ok(report)
-    }
-
-    /// Like [`ProvisioningService::provision`], starting from an
-    /// already-compiled image.
-    ///
-    /// # Errors
-    ///
-    /// Configuration errors fail the whole batch.
-    pub fn provision_image(
-        &self,
-        image: &Image,
-        creds: &[EnrollmentRecord],
-        config: &EncryptionConfig,
-    ) -> Result<BatchReport, EricError> {
-        let t0 = Instant::now();
-        let prepared = self.source.prepare_image(image, config)?;
-        let prepare = t0.elapsed();
-        let mut report = self.provision_prepared(&prepared, creds);
-        report.prepare = prepare;
-        Ok(report)
-    }
-
-    /// Fan an already-prepared image out to every enrollment record,
-    /// streaming each [`DeviceOutcome`] into `sink` **as it
-    /// completes** instead of collecting the batch in memory.
-    ///
-    /// This is the fleet-scale path: a million-device batch holds at
-    /// most `workers` packages in flight at once — the sink (a network
-    /// writer, a spooler, a progress bar) decides each package's fate
-    /// before the next lands. Outcomes arrive in *completion* order;
-    /// [`DeviceOutcome::index`] ties each back to its input slot. The
-    /// sink runs on the calling thread, concurrently with the workers.
-    ///
-    /// [`ProvisioningService::provision_prepared`] is the
-    /// collect-into-a-`Vec` wrapper over this.
-    pub fn run_with_sink(
-        &self,
-        prepared: &PreparedImage,
-        creds: &[EnrollmentRecord],
-        mut sink: impl FnMut(DeviceOutcome),
-    ) -> FanoutStats {
-        let n = creds.len();
-        let workers = self.workers.min(n.max(1));
-        // Work-stealing by atomic cursor: workers pull the next device
-        // index until the batch is drained, and hand each finished
-        // outcome straight to the sink over a *bounded* channel — a
-        // sink slower than the pool back-pressures the workers instead
-        // of letting finished packages pile up in memory, which is the
-        // whole point of the streaming path.
-        let next = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<DeviceOutcome>(workers);
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let cred = &creds[i];
-                    let t = Instant::now();
-                    let result = self
-                        .source
-                        .package_prepared(prepared, cred)
-                        .map(|(package, _)| package);
-                    let outcome = DeviceOutcome {
-                        index: i,
-                        device_id: cred.device_id.clone(),
-                        elapsed: t.elapsed(),
-                        result,
-                    };
-                    if tx.send(outcome).is_err() {
-                        break; // receiver gone: scope is unwinding
-                    }
-                });
-            }
-            // Workers hold the only remaining senders; the drain ends
-            // exactly when the last worker finishes.
-            drop(tx);
-            for outcome in rx {
-                sink(outcome);
-            }
-        });
-        FanoutStats {
-            fanout: t0.elapsed(),
-            workers,
-        }
-    }
-
-    /// Fan an already-prepared image out to every enrollment record.
-    ///
-    /// This is the cached-artifact path: callers provisioning several
-    /// waves of devices from one build keep the [`PreparedImage`] and
-    /// pay only per-device costs per wave. It collects the streamed
-    /// outcomes of [`ProvisioningService::run_with_sink`] back into
-    /// input order.
-    pub fn provision_prepared(
-        &self,
-        prepared: &PreparedImage,
-        creds: &[EnrollmentRecord],
-    ) -> BatchReport {
-        let mut slots: Vec<Option<DeviceOutcome>> = (0..creds.len()).map(|_| None).collect();
-        let stats = self.run_with_sink(prepared, creds, |outcome| {
-            let index = outcome.index;
-            slots[index] = Some(outcome);
-        });
-        let outcomes = slots
-            .into_iter()
-            .map(|s| s.expect("every device index is delivered exactly once"))
-            .collect();
-        BatchReport {
-            outcomes,
-            prepare: Duration::ZERO,
-            fanout: stats.fanout,
-            workers: stats.workers,
-            payload_bytes: prepared.payload_len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EncryptionConfig;
     use crate::device::Device;
+    use crate::package::Package;
+    use crate::source::SoftwareSource;
+    use eric_puf::crp::EnrollmentRecord;
 
     const PROGRAM: &str = "main:\n li a0, 41\n addi a0, a0, 1\n li a7, 93\n ecall\n";
 
@@ -366,172 +91,139 @@ mod tests {
         (devices, creds)
     }
 
+    /// One batch through `daemon`, parsed back into packages and put
+    /// in input order.
+    fn packages_in_order(
+        daemon: &ProvisioningDaemon,
+        program: &str,
+        creds: &[EnrollmentRecord],
+        config: &EncryptionConfig,
+    ) -> Vec<Package> {
+        let image = daemon.source().compile(program, config.compress).unwrap();
+        let handle = daemon.submit(&image, config, creds.to_vec()).unwrap();
+        let mut slots: Vec<Option<Package>> = (0..creds.len()).map(|_| None).collect();
+        for outcome in handle.iter() {
+            assert_eq!(outcome.device_id, creds[outcome.index].device_id);
+            let frame = outcome.result.unwrap();
+            assert!(slots[outcome.index].is_none(), "index {}", outcome.index);
+            slots[outcome.index] = Some(Package::from_wire(&frame.bytes).unwrap());
+            handle.recycle(frame);
+        }
+        slots.into_iter().map(Option::unwrap).collect()
+    }
+
     #[test]
     fn batch_builds_one_package_per_device() {
         let (mut devices, creds) = fleet(6, 300);
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(3);
-        let report = service
-            .provision(PROGRAM, &creds, &EncryptionConfig::full())
-            .unwrap();
-        assert_eq!(report.devices(), 6);
-        assert_eq!(report.succeeded(), 6);
-        assert_eq!(report.failed(), 0);
-        assert_eq!(report.workers, 3);
-        assert!(report.packages_per_sec() > 0.0);
-        // Input order preserved, every package keyed to its device.
-        for (i, (device, outcome)) in devices.iter_mut().zip(&report.outcomes).enumerate() {
-            assert_eq!(outcome.device_id, format!("unit-{i}"));
-            let package = outcome.result.as_ref().unwrap();
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 3);
+        let packages = packages_in_order(&daemon, PROGRAM, &creds, &EncryptionConfig::full());
+        assert_eq!(packages.len(), 6);
+        for (device, package) in devices.iter_mut().zip(&packages) {
             assert_eq!(device.install_and_run(package).unwrap().exit_code, 42);
         }
+        let health = daemon.health();
+        assert_eq!((health.completed_devices, health.failed_devices), (6, 0));
+        daemon.shutdown();
     }
 
     #[test]
     fn packages_are_device_bound_not_interchangeable() {
         let (mut devices, creds) = fleet(3, 400);
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(2);
-        let packages = service
-            .provision(PROGRAM, &creds, &EncryptionConfig::full())
-            .unwrap()
-            .into_packages()
-            .unwrap();
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 2);
+        let packages = packages_in_order(&daemon, PROGRAM, &creds, &EncryptionConfig::full());
         // Swapped packages are rejected by the HDE.
         assert!(devices[0].install_and_run(&packages[1]).is_err());
         assert!(devices[1].install_and_run(&packages[1]).is_ok());
+        daemon.shutdown();
     }
 
+    /// One stale credential fails its own device in-stream; its
+    /// siblings in the same batch still get working frames.
     #[test]
     fn one_bad_credential_does_not_abort_the_batch() {
         let (mut devices, mut creds) = fleet(4, 500);
         creds[2].epoch = 9; // stale record from a rotated-away epoch
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(4);
-        let report = service
-            .provision(PROGRAM, &creds, &EncryptionConfig::full())
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 4);
+        let image = daemon.source().compile(PROGRAM, false).unwrap();
+        let handle = daemon
+            .submit(&image, &EncryptionConfig::full(), creds)
             .unwrap();
-        assert_eq!(report.succeeded(), 3);
-        assert_eq!(report.failed(), 1);
-        assert!(matches!(
-            report.outcomes[2].result,
-            Err(EricError::Config(_))
-        ));
-        for (i, device) in devices.iter_mut().enumerate() {
-            if i == 2 {
-                continue;
+        let mut ok = 0;
+        for outcome in handle.iter() {
+            match outcome.result {
+                Ok(frame) => {
+                    let package = Package::from_wire(&frame.bytes).unwrap();
+                    let run = devices[outcome.index].install_and_run(&package).unwrap();
+                    assert_eq!(run.exit_code, 42);
+                    handle.recycle(frame);
+                    ok += 1;
+                }
+                Err(e) => {
+                    assert_eq!(outcome.index, 2);
+                    assert!(matches!(e, crate::error::EricError::Config(_)), "{e}");
+                }
             }
-            let package = report.outcomes[i].result.as_ref().unwrap();
-            assert_eq!(device.install_and_run(package).unwrap().exit_code, 42);
         }
-        // into_packages surfaces the isolated failure.
-        assert!(report.into_packages().is_err());
-    }
-
-    #[test]
-    fn batch_nonces_are_unique() {
-        let (_, creds) = fleet(16, 600);
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(4);
-        let packages = service
-            .provision(PROGRAM, &creds, &EncryptionConfig::full())
-            .unwrap()
-            .into_packages()
-            .unwrap();
-        let mut nonces: Vec<u64> = packages.iter().map(|p| p.nonce).collect();
-        nonces.sort_unstable();
-        nonces.dedup();
-        assert_eq!(nonces.len(), 16, "nonce reuse across the batch");
+        assert_eq!(ok, 3);
+        let health = daemon.health();
+        assert_eq!((health.completed_devices, health.failed_devices), (4, 1));
+        daemon.shutdown();
     }
 
     #[test]
     fn prepared_artifact_is_reusable_across_waves() {
         let (mut devices, creds) = fleet(4, 700);
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(2);
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 2);
         let config = EncryptionConfig::partial(0.5, 11);
-        let image = service.source().compile(PROGRAM, config.compress).unwrap();
-        let prepared = service.source().prepare_image(&image, &config).unwrap();
+        let image = daemon.source().compile(PROGRAM, config.compress).unwrap();
+        let prepared = daemon.source().prepare_image(&image, &config).unwrap();
         // Two waves off one cached preparation.
-        let wave1 = service.provision_prepared(&prepared, &creds[..2]);
-        let wave2 = service.provision_prepared(&prepared, &creds[2..]);
-        assert_eq!(wave1.succeeded() + wave2.succeeded(), 4);
-        assert_eq!(wave1.prepare, Duration::ZERO);
-        for (device, outcome) in devices
-            .iter_mut()
-            .zip(wave1.outcomes.iter().chain(&wave2.outcomes))
-        {
-            let package = outcome.result.as_ref().unwrap();
+        let wave1 = packages_in_order(&daemon, PROGRAM, &creds[..2], &config);
+        let wave2 = packages_in_order(&daemon, PROGRAM, &creds[2..], &config);
+        let stats = daemon.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        for (device, package) in devices.iter_mut().zip(wave1.iter().chain(&wave2)) {
             // Seed-deterministic map: shared across the whole fleet.
             assert_eq!(&package.map, prepared.map());
             assert_eq!(device.install_and_run(package).unwrap().exit_code, 42);
         }
+        daemon.shutdown();
     }
 
+    /// The batch handle streams outcomes in completion order; each
+    /// index arrives exactly once and carries its device's frame.
     #[test]
     fn sink_streams_every_outcome_exactly_once() {
         let (mut devices, creds) = fleet(8, 1000);
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(3);
-        let image = service.source().compile(PROGRAM, false).unwrap();
-        let prepared = service
-            .source()
-            .prepare_image(&image, &EncryptionConfig::full())
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 3);
+        let image = daemon.source().compile(PROGRAM, false).unwrap();
+        let handle = daemon
+            .submit(&image, &EncryptionConfig::full(), creds)
             .unwrap();
         let mut seen = vec![false; 8];
-        let mut packages = Vec::new();
-        let stats = service.run_with_sink(&prepared, &creds, |outcome| {
+        for outcome in handle.iter() {
             assert!(!seen[outcome.index], "index {} twice", outcome.index);
             seen[outcome.index] = true;
             assert_eq!(outcome.device_id, format!("unit-{}", outcome.index));
-            packages.push((outcome.index, outcome.result.unwrap()));
-        });
-        assert!(seen.iter().all(|&s| s), "missing outcomes: {seen:?}");
-        assert_eq!(stats.workers, 3);
-        assert!(stats.fanout > Duration::ZERO);
-        // Streamed packages are the real thing: each device runs its own.
-        for (index, package) in packages {
-            assert_eq!(
-                devices[index].install_and_run(&package).unwrap().exit_code,
-                42
-            );
+            let frame = outcome.result.unwrap();
+            let package = Package::from_wire(&frame.bytes).unwrap();
+            // Streamed frames are the real thing: each device runs its own.
+            let run = devices[outcome.index].install_and_run(&package).unwrap();
+            assert_eq!(run.exit_code, 42);
+            handle.recycle(frame);
         }
-    }
-
-    #[test]
-    fn sink_sees_failures_in_stream_without_aborting() {
-        let (_, mut creds) = fleet(4, 1100);
-        creds[1].epoch = 9;
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(2);
-        let image = service.source().compile(PROGRAM, false).unwrap();
-        let prepared = service
-            .source()
-            .prepare_image(&image, &EncryptionConfig::full())
-            .unwrap();
-        let mut ok = 0usize;
-        let mut failed = Vec::new();
-        service.run_with_sink(&prepared, &creds, |outcome| match outcome.result {
-            Ok(_) => ok += 1,
-            Err(_) => failed.push(outcome.index),
-        });
-        assert_eq!(ok, 3);
-        assert_eq!(failed, vec![1]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_clean_noop() {
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(8);
-        let report = service
-            .provision(PROGRAM, &[], &EncryptionConfig::full())
-            .unwrap();
-        assert_eq!(report.devices(), 0);
-        assert_eq!(report.succeeded(), 0);
-        assert_eq!(report.into_packages().unwrap().len(), 0);
+        assert!(seen.iter().all(|&s| s), "missing outcomes: {seen:?}");
+        daemon.shutdown();
     }
 
     #[test]
     fn workers_clamped_to_at_least_one() {
-        let service = ProvisioningService::new(SoftwareSource::new("vendor")).with_workers(0);
-        assert_eq!(service.workers(), 1);
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 0);
+        assert_eq!(daemon.workers(), 1);
         let (_, creds) = fleet(2, 800);
-        let report = service
-            .provision(PROGRAM, &creds, &EncryptionConfig::full())
-            .unwrap();
-        assert_eq!(report.succeeded(), 2);
+        let packages = packages_in_order(&daemon, PROGRAM, &creds, &EncryptionConfig::full());
+        assert_eq!(packages.len(), 2);
+        daemon.shutdown();
     }
 
     #[test]
@@ -541,16 +233,13 @@ mod tests {
         let single = source
             .build(PROGRAM, &creds[0], &EncryptionConfig::full())
             .unwrap();
-        let service = ProvisioningService::new(SoftwareSource::new("vendor"));
-        let batched = service
-            .provision(PROGRAM, &creds, &EncryptionConfig::full())
-            .unwrap()
-            .into_packages()
-            .unwrap()
-            .remove(0);
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 2);
+        let batched =
+            packages_in_order(&daemon, PROGRAM, &creds, &EncryptionConfig::full()).remove(0);
         // Same nonce (fresh counters), same map, same ciphertext: the
         // single-device path is literally a batch of one.
         assert_eq!(single, batched);
         assert_eq!(devices[0].install_and_run(&batched).unwrap().exit_code, 42);
+        daemon.shutdown();
     }
 }

@@ -83,7 +83,8 @@ impl BuildTimings {
 /// signing, encryption, serialization). Built by
 /// [`SoftwareSource::prepare_image`], consumed by
 /// [`SoftwareSource::package_prepared`] and
-/// [`ProvisioningService::provision_prepared`](crate::ProvisioningService::provision_prepared).
+/// [`SoftwareSource::package_prepared_into`] (which the
+/// [`ProvisioningDaemon`](crate::ProvisioningDaemon) workers call).
 #[derive(Clone, Debug)]
 pub struct PreparedImage {
     pub(crate) cipher: eric_crypto::cipher::CipherKind,

@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn mixed_engines_in_one_batch_agree() {
-        let jobs: Vec<BatchJob> = [EngineKind::Step, EngineKind::Cached, EngineKind::Block]
+        let jobs: Vec<BatchJob> = [EngineKind::Step, EngineKind::Block]
             .into_iter()
             .map(|e| job(e.name(), 500, e))
             .collect();
@@ -174,7 +174,6 @@ mod tests {
             .map(|r| r.outcome.as_ref().unwrap())
             .collect();
         assert_eq!(outcomes[0], outcomes[1]);
-        assert_eq!(outcomes[0], outcomes[2]);
         assert_eq!(outcomes[0].exit_code, (1..=500i64).sum::<i64>());
     }
 

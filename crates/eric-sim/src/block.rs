@@ -1,27 +1,21 @@
-//! Pre-decoded execution tiers: the decoded-instruction cache and the
-//! basic-block translator.
+//! The basic-block translator behind the `block` engine.
 //!
 //! `Cpu::step` re-fetches and re-decodes every parcel from flat memory
 //! on every retired instruction. For cycle-accounting purposes that
 //! work is pure overhead: the decoded [`Inst`] and its timing metadata
 //! are functions of the text bytes alone. This module caches that work
-//! at two granularities:
+//! per basic block: [`BlockCache`] / [`Block`] hold straight-line runs
+//! of pre-decoded instructions ending at the first
+//! branch/jump/`ecall`/`ebreak`, each carrying a precomputed
+//! [`PreTiming`] and an I-cache *fetch plan* (which cache lines the
+//! parcel touches, and whether the first of them is the same line the
+//! previous instruction ended on) so the executor charges the I-cache
+//! per fetched line without re-deriving line addresses.
 //!
-//! * [`DecodeCache`] — a direct-mapped map from fetch address to
-//!   decoded [`Inst`] (tier `cached`): each parcel is decoded once and
-//!   replayed on re-execution.
-//! * [`BlockCache`] / [`Block`] — straight-line runs of pre-decoded
-//!   instructions ending at the first branch/jump/`ecall`/`ebreak`
-//!   (tier `block`), each carrying a precomputed [`PreTiming`] and an
-//!   I-cache *fetch plan* (which cache lines the parcel touches, and
-//!   whether the first of them is the same line the previous
-//!   instruction ended on) so the executor charges the I-cache per
-//!   fetched line without re-deriving line addresses.
-//!
-//! Both tiers are invalidated through [`Memory`]'s code-version stamp:
-//! translation marks the translated byte range via
+//! Translations are invalidated through [`Memory`]'s code-version
+//! stamp: translation marks the translated byte range via
 //! [`Memory::note_code_range`], any store into a marked page bumps
-//! [`Memory::code_version`], and the engines drop their caches when the
+//! [`Memory::code_version`], and the engine drops its cache when the
 //! version moves (see `Soc::run`). That keeps HDE-style in-place
 //! decryption and self-modifying programs bit-identical to the step
 //! oracle.
@@ -39,11 +33,6 @@ pub(crate) const NO_LINE: u64 = u64::MAX;
 /// Cap on instructions per translated block (bounds translation work
 /// wasted when a block is invalidated, and block-cache memory).
 const MAX_BLOCK_INSTS: usize = 128;
-
-/// Direct-mapped decode-cache capacity (slots). 32 Ki slots × one
-/// parcel each covers 64–128 KiB of text with no conflict misses —
-/// far beyond any workload in the suite; conflicts just re-decode.
-const DECODE_SLOTS: usize = 1 << 15;
 
 /// Direct-mapped block-cache capacity (slots). Program text has at
 /// most one block head per parcel; conflicts simply re-translate.
@@ -511,72 +500,6 @@ impl LineMap {
     }
 }
 
-/// Direct-mapped cache of decoded parcels, keyed by fetch address.
-#[derive(Debug)]
-pub(crate) struct DecodeCache {
-    slots: Vec<DecodeSlot>,
-    /// The [`Memory::code_version`] the cached decodes reflect.
-    pub synced_version: u64,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct DecodeSlot {
-    /// Fetch address ([`NO_LINE`] = empty).
-    pc: u64,
-    inst: Inst,
-}
-
-impl DecodeCache {
-    /// An empty cache in sync with code-version `version`.
-    pub fn new(version: u64) -> Self {
-        DecodeCache {
-            slots: vec![
-                DecodeSlot {
-                    pc: NO_LINE,
-                    inst: Inst {
-                        op: Op::Ebreak,
-                        rd: 0,
-                        rs1: 0,
-                        rs2: 0,
-                        rs3: 0,
-                        imm: 0,
-                        rm: 0,
-                        len: 4,
-                    },
-                };
-                DECODE_SLOTS
-            ],
-            synced_version: version,
-        }
-    }
-
-    /// Drop every entry if `version` moved past the cache.
-    pub fn sync(&mut self, version: u64) {
-        if version != self.synced_version {
-            self.slots.iter_mut().for_each(|s| s.pc = NO_LINE);
-            self.synced_version = version;
-        }
-    }
-
-    #[inline]
-    fn slot(pc: u64) -> usize {
-        ((pc >> 1) as usize) & (DECODE_SLOTS - 1)
-    }
-
-    /// The decoded parcel at `pc`, if cached.
-    #[inline]
-    pub fn get(&self, pc: u64) -> Option<Inst> {
-        let s = &self.slots[Self::slot(pc)];
-        (s.pc == pc).then_some(s.inst)
-    }
-
-    /// Cache the decoded parcel at `pc`.
-    #[inline]
-    pub fn insert(&mut self, pc: u64, inst: Inst) {
-        self.slots[Self::slot(pc)] = DecodeSlot { pc, inst };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,27 +566,5 @@ mod tests {
             translate(0x8000_0000, &mut mem, 64, &t),
             Err(ExecError::Decode { .. })
         ));
-    }
-
-    #[test]
-    fn decode_cache_roundtrip_and_invalidation() {
-        let mut c = DecodeCache::new(0);
-        let inst = Inst {
-            op: Op::Addi,
-            rd: 10,
-            rs1: 10,
-            rs2: 0,
-            rs3: 0,
-            imm: 1,
-            rm: 0,
-            len: 4,
-        };
-        assert!(c.get(0x8000_0000).is_none());
-        c.insert(0x8000_0000, inst);
-        assert_eq!(c.get(0x8000_0000).map(|i| i.op), Some(Op::Addi));
-        c.sync(0); // same version: keeps entries
-        assert!(c.get(0x8000_0000).is_some());
-        c.sync(1); // moved: drops entries
-        assert!(c.get(0x8000_0000).is_none());
     }
 }

@@ -31,7 +31,7 @@ pub enum StepOutcome {
 
 /// [`StepOutcome`] without the retired instruction payload — what
 /// [`Cpu::execute`] reports to callers that already hold the decoded
-/// [`Inst`] (the pre-decoded engines), so the hot path never copies it.
+/// [`Inst`] (the block engine), so the hot path never copies it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum ExecFlow {
     /// The instruction retired normally.
@@ -206,33 +206,14 @@ impl Cpu {
             .or_else(|_| mem.read_bytes(pc, 2))
             .map_err(|err| ExecError::Mem { pc, err })?;
         let inst = decode_parcel(window).map_err(|err| ExecError::Decode { pc, err })?;
-        let flow = self.step_decoded(&inst, mem, pc)?;
+        self.pc = pc + inst.len as u64;
+        let flow = self.execute(&inst, mem, pc)?;
+        self.instret += 1;
         Ok(match flow {
             ExecFlow::Retired => StepOutcome::Retired(inst),
             ExecFlow::Exit(code) => StepOutcome::Exit(code),
             ExecFlow::Breakpoint => StepOutcome::Breakpoint,
         })
-    }
-
-    /// Execute one **already-decoded** instruction whose fetch address
-    /// was `pc`: advance the PC past it, run its semantics, and count it
-    /// retired. This is [`Cpu::step`] minus fetch/decode — the entry
-    /// point for the decode-cache and basic-block engines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] on memory faults or misaligned control
-    /// transfers.
-    pub(crate) fn step_decoded(
-        &mut self,
-        inst: &Inst,
-        mem: &mut Memory,
-        pc: u64,
-    ) -> Result<ExecFlow, ExecError> {
-        self.pc = pc + inst.len as u64;
-        let flow = self.execute(inst, mem, pc)?;
-        self.instret += 1;
-        Ok(flow)
     }
 
     #[allow(clippy::too_many_lines)]

@@ -18,12 +18,11 @@
 //!   cache-miss stalls.
 //! * [`soc`] — ties everything together; [`soc::Soc::run`] executes a
 //!   loaded program to completion and reports retired instructions,
-//!   cycles, cache statistics, and the exit code. Three execution
+//!   cycles, cache statistics, and the exit code. Two execution
 //!   engines (selectable via [`soc::EngineKind`] or the
 //!   `ERIC_SIM_ENGINE` env var) trade host speed for simplicity: a
-//!   step interpreter (the semantic oracle), a decoded-instruction
-//!   cache, and basic-block dispatch (the default). All three produce
-//!   bit-identical run outcomes.
+//!   step interpreter (the semantic oracle) and basic-block dispatch
+//!   (the default). Both produce bit-identical run outcomes.
 //! * [`batch`] — a threaded fleet runner that fans independent
 //!   simulations out over OS threads.
 //!

@@ -1,45 +1,40 @@
 //! The complete SoC: CPU + caches + pipeline + memory.
 
 use crate::block::{
-    BInst, BlockCache, DecodeCache, LineMap, UOp, F_AMO, F_BRANCH, F_JUMP, F_MEM, F_WRITE,
-    MAX_BLOCK_LINES, NO_LINE,
+    BInst, BlockCache, LineMap, UOp, F_AMO, F_BRANCH, F_JUMP, F_MEM, F_WRITE, MAX_BLOCK_LINES,
+    NO_LINE,
 };
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::cpu::{div_signed, rem_signed, sext32, Cpu, ExecError, ExecFlow, StepOutcome};
 use crate::mem::{MemError, Memory};
 use crate::pipeline::{Pipeline, StallBreakdown, TimingConfig};
 use eric_asm::Image;
-use eric_isa::decode::decode_parcel;
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
 
 /// Which execution engine [`Soc::run`] dispatches to.
 ///
-/// All three tiers produce **bit-identical** [`RunOutcome`]s for any
+/// Both engines produce **bit-identical** [`RunOutcome`]s for any
 /// program that runs to `exit` — they differ only in host wall time.
-/// The step interpreter is the semantic oracle; the pre-decoded tiers
-/// are regression-pinned against it (see the cross-engine tests and
+/// The step interpreter is the semantic oracle; the basic-block engine
+/// is regression-pinned against it (see the cross-engine tests and
 /// the `sim_dispatch` bench).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Fetch + decode every parcel from memory on every step.
     Step,
-    /// Decoded-instruction cache keyed by fetch address.
-    Cached,
     /// Basic-block translation with straight-line dispatch (default).
     Block,
 }
 
 impl EngineKind {
-    /// The engine selected by `ERIC_SIM_ENGINE` (`step`, `cached`, or
-    /// `block`), defaulting to [`EngineKind::Block`]. Resolved once per
-    /// process.
+    /// The engine selected by `ERIC_SIM_ENGINE` (`step` or `block`),
+    /// defaulting to [`EngineKind::Block`]. Resolved once per process.
     pub fn from_env() -> Self {
         static CHOICE: OnceLock<EngineKind> = OnceLock::new();
         *CHOICE.get_or_init(|| match std::env::var("ERIC_SIM_ENGINE").as_deref() {
             Ok("step") => EngineKind::Step,
-            Ok("cached") => EngineKind::Cached,
             Ok("block") | Ok("") | Err(_) => EngineKind::Block,
             Ok(other) => {
                 eprintln!("warning: unknown ERIC_SIM_ENGINE={other:?}; using \"block\"");
@@ -52,7 +47,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Step => "step",
-            EngineKind::Cached => "cached",
             EngineKind::Block => "block",
         }
     }
@@ -187,8 +181,6 @@ pub struct Soc {
     cycles: u64,
     /// Lazily-built translation state for [`EngineKind::Block`].
     blocks: Option<BlockCache>,
-    /// Lazily-built decode cache for [`EngineKind::Cached`].
-    decoded: Option<DecodeCache>,
 }
 
 impl fmt::Debug for Soc {
@@ -212,7 +204,6 @@ impl Soc {
             pipeline: Pipeline::new(config.timing),
             cycles: 0,
             blocks: None,
-            decoded: None,
             config,
         }
     }
@@ -319,15 +310,6 @@ impl Soc {
     pub fn run(&mut self, max_instructions: u64) -> Result<RunOutcome, RunError> {
         match self.config.engine {
             EngineKind::Step => self.run_step(max_instructions),
-            EngineKind::Cached => {
-                let mut cache = self
-                    .decoded
-                    .take()
-                    .unwrap_or_else(|| DecodeCache::new(self.mem.code_version()));
-                let result = self.run_cached(&mut cache, max_instructions);
-                self.decoded = Some(cache);
-                result
-            }
             EngineKind::Block => {
                 let mut blocks = self
                     .blocks
@@ -352,7 +334,7 @@ impl Soc {
                 StepOutcome::Exit(code) => {
                     // The exit `ecall` is a 4-byte parcel: touch its
                     // second line if it straddles (stats parity with
-                    // the pre-decoded tiers), then charge the final
+                    // the block engine), then charge the final
                     // cycle. As with the first line, no miss penalty is
                     // charged for the exiting instruction.
                     if pc & !line_mask != (pc + 3) & !line_mask {
@@ -366,7 +348,7 @@ impl Soc {
                     // A parcel straddling a line boundary fetches the
                     // next line too (charged only after decode reveals
                     // the length — no icache access intervenes, so the
-                    // access sequence matches the pre-decoded tiers).
+                    // access sequence matches the block engine).
                     let last_line = (pc + inst.len as u64 - 1) & !line_mask;
                     if last_line != pc & !line_mask {
                         ifetch_misses += u64::from(!self.icache.access(last_line, false));
@@ -397,75 +379,8 @@ impl Soc {
         })
     }
 
-    /// Tier 1: decode each parcel once, replay the cached [`Inst`].
-    fn run_cached(
-        &mut self,
-        cache: &mut DecodeCache,
-        max_instructions: u64,
-    ) -> Result<RunOutcome, RunError> {
-        let line_mask = self.config.icache.line as u64 - 1;
-        for _ in 0..max_instructions {
-            cache.sync(self.mem.code_version());
-            let pc = self.cpu.pc;
-            let inst = match cache.get(pc) {
-                Some(inst) => inst,
-                None => {
-                    if pc & 1 != 0 {
-                        return Err(ExecError::UnalignedPc(pc).into());
-                    }
-                    let window = self
-                        .mem
-                        .read_bytes(pc, 4)
-                        .or_else(|_| self.mem.read_bytes(pc, 2))
-                        .map_err(|err| ExecError::Mem { pc, err })?;
-                    let inst =
-                        decode_parcel(window).map_err(|err| ExecError::Decode { pc, err })?;
-                    self.mem.note_code_range(pc, inst.len as usize);
-                    cache.insert(pc, inst);
-                    inst
-                }
-            };
-            let mut ifetch_misses = u64::from(!self.icache.access(pc, false));
-            let last_line = (pc + inst.len as u64 - 1) & !line_mask;
-            let straddles = last_line != pc & !line_mask;
-            if straddles {
-                ifetch_misses += u64::from(!self.icache.access(last_line, false));
-            }
-            self.cpu.cycle = self.cycles;
-            match self.cpu.step_decoded(&inst, &mut self.mem, pc)? {
-                ExecFlow::Retired => {}
-                ExecFlow::Exit(code) => {
-                    self.cycles += 1;
-                    return Ok(self.outcome(code));
-                }
-                ExecFlow::Breakpoint => return Err(RunError::Breakpoint { pc }),
-            }
-            let dcache_hit = if inst.op.is_memory() {
-                let addr = self.cpu.reg(inst.rs1).wrapping_add(if inst.op.is_amo() {
-                    0
-                } else {
-                    inst.imm as u64
-                });
-                Some(
-                    self.dcache
-                        .access(addr, inst.op.is_store() || inst.op.is_amo()),
-                )
-            } else {
-                None
-            };
-            let branch_taken =
-                (inst.op.is_branch() && self.cpu.pc != pc + inst.len as u64) || inst.op.is_jump();
-            self.cycles += self
-                .pipeline
-                .retire(&inst, ifetch_misses, dcache_hit, branch_taken);
-        }
-        Err(RunError::OutOfFuel {
-            budget: max_instructions,
-        })
-    }
-
-    /// Tier 2: translate straight-line runs once, execute them as tight
-    /// loops over pre-decoded instructions with precomputed timing.
+    /// The fast path: translate straight-line runs once, execute them as
+    /// tight loops over pre-decoded instructions with precomputed timing.
     fn run_block(
         &mut self,
         blocks: &mut BlockCache,
@@ -990,7 +905,7 @@ mod tests {
         }
     }
 
-    const ENGINES: [EngineKind; 3] = [EngineKind::Step, EngineKind::Cached, EngineKind::Block];
+    const ENGINES: [EngineKind; 2] = [EngineKind::Step, EngineKind::Block];
 
     fn run_src_on(src: &str, engine: EngineKind) -> RunOutcome {
         let img = assemble(src, &AsmOptions::default()).unwrap_or_else(|e| panic!("{e}"));
@@ -999,12 +914,10 @@ mod tests {
         soc.run(10_000_000).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Run on the step oracle and assert the other tiers agree exactly.
+    /// Run on the step oracle and assert the block engine agrees exactly.
     fn run_src(src: &str) -> RunOutcome {
         let step = run_src_on(src, EngineKind::Step);
-        for engine in [EngineKind::Cached, EngineKind::Block] {
-            assert_eq!(run_src_on(src, engine), step, "{engine} diverged");
-        }
+        assert_eq!(run_src_on(src, EngineKind::Block), step, "block diverged");
         step
     }
 
@@ -1197,7 +1110,7 @@ mod tests {
         // beq: 1 + 20 (miss) + 2 (redirect); addi@62: 1 + 20 (second
         // line missed); addi@66: 1; exit ecall: 1.
         assert_eq!(out.cycles, 46);
-        assert!(outcomes.all(|o| o == out), "tiers diverged");
+        assert!(outcomes.all(|o| o == out), "engines diverged");
     }
 
     /// Self-modification safety (the HDE decrypts text in place): a

@@ -12,8 +12,7 @@
 
 use eric::core::{
     DeliveryPolicy, DeltaPackage, Device, EncryptionConfig, FaultPlan, InstalledImage,
-    LossyChannel, Package, ProvisioningDaemon, ProvisioningService, ResilientDelivery,
-    SoftwareSource, SubmitError,
+    LossyChannel, Package, ProvisioningDaemon, ResilientDelivery, SoftwareSource, SubmitError,
 };
 use eric::puf::crp::CrpDatabase;
 
@@ -54,7 +53,6 @@ const OTA_NEXT: &str = r#"
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- One source, a fleet of ten unique devices. ---
-    let vendor = SoftwareSource::new("fleet-vendor");
     let mut fleet: Vec<Device> = (0..10)
         .map(|i| Device::with_seed(1000 + i, &format!("fleet/unit-{i}")))
         .collect();
@@ -74,19 +72,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("CRP database holds {} records", db.len());
 
     // Batch-provision the fleet: compile once, fan the per-device
-    // sign/encrypt/package work across a worker pool.
+    // sign/encrypt/package work across the daemon's resident pool — a
+    // sharded worker pool fed by a submission queue, serving repeated
+    // preparations from the epoch-keyed cache and packaging zero-copy
+    // into recycled transmit buffers.
+    let daemon = ProvisioningDaemon::start(SoftwareSource::new("fleet-vendor"), 4);
+    let image = daemon.source().compile(FIRMWARE, false)?;
     let creds: Vec<_> = fleet.iter_mut().map(Device::enroll).collect();
-    let service = ProvisioningService::new(vendor).with_workers(4);
-    let report = service.provision(FIRMWARE, &creds, &EncryptionConfig::full())?;
+    let started = std::time::Instant::now();
+    let handle = daemon.submit(&image, &EncryptionConfig::full(), creds)?;
+    // Outcomes arrive in completion order; put them back in fleet order.
+    let mut packages: Vec<Option<Package>> = (0..fleet.len()).map(|_| None).collect();
+    for outcome in handle.iter() {
+        let frame = outcome.result?;
+        packages[outcome.index] = Some(Package::from_wire(&frame.bytes)?);
+        handle.recycle(frame);
+    }
+    let packages: Vec<Package> = packages
+        .into_iter()
+        .map(|p| p.expect("the batch delivers one outcome per device"))
+        .collect();
     println!(
-        "batch of {} provisioned on {} workers: {:.0} packages/sec \
-         (compile amortized: {:?})",
-        report.devices(),
-        report.workers,
-        report.packages_per_sec(),
-        report.prepare,
+        "batch of {} provisioned on {} workers in {:?} (compile and prepare paid once)",
+        packages.len(),
+        daemon.workers(),
+        started.elapsed(),
     );
-    let packages = report.into_packages()?;
 
     // Every device runs its own package; no device runs a sibling's.
     let mut cross_rejections = 0;
@@ -116,14 +127,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Epoch rotation revokes the field population. ---
     let mut revoked = Device::with_seed(6000, "revocable-unit");
     let old_cred = revoked.enroll();
-    let old_pkg = service
+    let old_pkg = daemon
         .source()
         .build(FIRMWARE, &old_cred, &EncryptionConfig::full())?;
     assert_eq!(revoked.install_and_run(&old_pkg)?.exit_code, 42);
     revoked.rotate_epoch();
     assert!(revoked.install_and_run(&old_pkg).is_err());
     let new_cred = revoked.enroll();
-    let new_pkg = service.source().build(
+    let new_pkg = daemon.source().build(
         FIRMWARE,
         &new_cred,
         &EncryptionConfig::full().with_epoch(revoked.epoch()),
@@ -131,13 +142,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(revoked.install_and_run(&new_pkg)?.exit_code, 42);
     println!("epoch rotation revoked the old package and re-keying restored service");
 
-    // --- Sustained provisioning: the resident daemon. ---
-    // Under continuous load the one-shot service gives way to the
-    // daemon: a resident sharded worker pool fed by a submission
-    // queue, serving repeated preparations from the epoch-keyed cache
-    // and packaging zero-copy into recycled transmit buffers.
-    let daemon = ProvisioningDaemon::start(SoftwareSource::new("fleet-vendor"), 4);
-    let image = daemon.source().compile(FIRMWARE, false)?;
+    // --- Sustained provisioning: repeated waves on the same daemon. ---
+    // The first batch above prepared the image, so every wave here is
+    // served from the prepared-image cache, and the transmit buffers
+    // cycle through the daemon pool.
     let creds: Vec<_> = fleet.iter_mut().map(Device::enroll).collect();
     for wave in 0..3 {
         let handle = daemon.submit(&image, &EncryptionConfig::full(), creds.clone())?;
@@ -168,7 +176,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.hits,
         stats.misses,
         daemon.pool().created(),
-        3 * fleet.len(),
+        4 * fleet.len(),
     );
 
     // --- Resilient delivery over a lossy field link. ---

@@ -13,8 +13,12 @@
 //! * (b) only the untouched frame is accepted;
 //! * (c) wherever `Package::from_wire` accepts the frame, both paths
 //!   return the same `HdeError` variant and the same segment index.
+//!
+//! A partial-map `ERIC2D` delta frame gets the same sweep: every
+//! mutated frame must be refused by `DeltaPackage::from_wire` or
+//! `Device::apply_delta`, with the installed base untouched.
 
-use eric::core::{Device, EncryptionConfig, Package, SoftwareSource};
+use eric::core::{DeltaPackage, Device, EncryptionConfig, Package, SoftwareSource};
 use eric::hde::loader::{SecureInput, SecureLoader};
 use eric::hde::policy::FieldPolicy;
 use eric::hde::streaming::StreamingLoader;
@@ -36,6 +40,31 @@ const PROGRAM: &str = r#"
 const SEED: u64 = 15;
 /// Tiny segments so each frame spans several leaves.
 const SEGMENT_LEN: u32 = 32;
+
+/// Base and target of the delta case (the `tests/ota_delta.rs`
+/// programs): the target's 180-byte payload spans six segments, two of
+/// which change.
+const DELTA_BASE: &str = r#"
+    .data
+    table: .zero 160
+    .text
+    main:
+        li  a0, 21
+        li  a7, 93
+        ecall
+"#;
+
+const DELTA_NEXT: &str = r#"
+    .data
+    table: .zero 160
+    .text
+    main:
+        li  a0, 3
+        li  a1, 7
+        mul a0, a0, a1
+        li  a7, 93
+        ecall
+"#;
 
 /// One wire frame per encryption mode, built for the device `SEED`.
 /// The 112-byte payload spans four segments and, in partial mode, 28
@@ -148,5 +177,57 @@ fn buffered_and_streaming_agree_on_every_bit_flip_and_truncation() {
         "{} violations, first: {:#?}",
         failures.len(),
         &failures[..failures.len().min(12)]
+    );
+}
+
+/// A partial map covers the segments a delta does not ship too, so
+/// those map bits are checked only through the AAD that the signed
+/// root binds. Every bit flip and every truncation of a partial-map
+/// `ERIC2D` frame must be refused at parse or at `apply_delta`, and
+/// the installed base must stay as it was.
+#[test]
+fn partial_map_delta_rejects_every_bit_flip_and_truncation() {
+    let mut device = Device::with_seed(SEED, "conformance");
+    let cred = device.enroll();
+    let source = SoftwareSource::new("conformance");
+    let config = EncryptionConfig::partial(0.5, 11).with_segments(SEGMENT_LEN);
+    let prepare = |program| {
+        let image = source.compile(program, config.compress).unwrap();
+        source.prepare_image(&image, &config).unwrap()
+    };
+    let (base, next) = (prepare(DELTA_BASE), prepare(DELTA_NEXT));
+    let installed = device
+        .install(&source.package_prepared(&base, &cred).unwrap().0)
+        .unwrap();
+    let delta = source.prepare_delta(&base, &next).unwrap();
+    assert_eq!((delta.changed_segments(), delta.total_segments()), (2, 6));
+    let wire = source.package_delta(&delta, &cred).unwrap().to_wire();
+    let apply = |wire: &[u8]| {
+        DeltaPackage::from_wire(wire).and_then(|d| device.apply_delta(&installed, &d))
+    };
+    apply(&wire).expect("the untouched delta applies");
+
+    let base_fingerprint = installed.fingerprint();
+    let mut accepted = Vec::new();
+    for byte in 0..wire.len() {
+        for bit in 0..8 {
+            let mut flipped = wire.clone();
+            flipped[byte] ^= 1 << bit;
+            if apply(&flipped).is_ok() {
+                accepted.push(format!("flip byte {byte} bit {bit}"));
+            }
+            assert_eq!(installed.fingerprint(), base_fingerprint);
+        }
+    }
+    for keep in 0..wire.len() {
+        if apply(&wire[..keep]).is_ok() {
+            accepted.push(format!("cut to {keep} bytes"));
+        }
+    }
+    assert!(
+        accepted.is_empty(),
+        "{} mutated frames accepted, first: {:#?}",
+        accepted.len(),
+        &accepted[..accepted.len().min(12)]
     );
 }

@@ -191,7 +191,8 @@ fn delta_wire_layout_matches_pinned_golden() {
     let challenge_len = delta.challenge.len();
     let indices_at = fixed + challenge_len + 32;
     let leaves_at = wire.len() - delta.segments.len() - 32 * delta.changed.len();
-    let map_len = leaves_at - 32 - aad_len;
+    // The map block closes the AAD, right after the index table.
+    let map_len = aad_len - (indices_at + 4 * delta.changed.len());
     let changed: Vec<String> = delta.changed.iter().map(u32::to_string).collect();
     let digest = sha256(&wire)
         .as_bytes()

@@ -276,7 +276,7 @@ proptest! {
     fn batch_packages_roundtrip_to_identical_plaintext(n in 1usize..6,
                                                        seed in 0u64..200,
                                                        mode in 0u8..7) {
-        use eric::core::{Device, EncryptionConfig, ProvisioningService, SoftwareSource};
+        use eric::core::{Device, EncryptionConfig, Package, ProvisioningDaemon, SoftwareSource};
         use eric::hde::loader::SecureInput;
         use eric::puf::crp::Challenge;
 
@@ -305,16 +305,21 @@ proptest! {
             .collect();
         let creds: Vec<_> = devices.iter_mut().map(Device::enroll).collect();
 
-        let service = ProvisioningService::new(SoftwareSource::new("prop-batch"))
-            .with_workers(3);
-        let image = service.source().compile(PROGRAM, config.compress).unwrap();
-        let report = service.provision_image(&image, &creds, &config).unwrap();
-        prop_assert_eq!(report.devices(), n);
-        prop_assert_eq!(report.succeeded(), n);
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("prop-batch"), 3);
+        let image = daemon.source().compile(PROGRAM, config.compress).unwrap();
+        let handle = daemon.submit(&image, &config, creds).unwrap();
+        let mut outcomes: Vec<_> = handle.iter().collect();
+        outcomes.sort_by_key(|o| o.index);
+        prop_assert_eq!(outcomes.len(), n);
+        let packages: Vec<Package> = outcomes
+            .into_iter()
+            .map(|o| Package::from_wire(&o.result.unwrap().bytes).unwrap())
+            .collect();
+        daemon.shutdown();
 
         let mut expected = image.text.clone();
         expected.extend_from_slice(&image.data);
-        for (device, pkg) in devices.iter_mut().zip(report.packages()) {
+        for (device, pkg) in devices.iter_mut().zip(&packages) {
             let aad = pkg.aad();
             let challenge = Challenge::from_bytes(&pkg.challenge);
             let input = SecureInput {

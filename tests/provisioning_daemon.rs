@@ -1,15 +1,17 @@
 //! Lifecycle tests for the resident provisioning daemon: backpressure
 //! bounds, work stealing under skew, cache invalidation across
-//! credential rotation, and clean drain/shutdown.
+//! credential rotation, clean drain/shutdown, a submission racing
+//! shutdown, and seeded schedule perturbation.
 //!
 //! The worker count honors `ERIC_PROVISION_WORKERS` (CI runs a small
 //! matrix over it); tests that need a specific shape clamp it locally.
 
 use eric::core::{
-    Channel, Device, EncryptionConfig, EricError, Package, ProvisioningDaemon, ShardQueue,
-    SoftwareSource,
+    BatchHandle, Channel, Device, EncryptionConfig, EricError, Package, ProvisioningDaemon,
+    RecvTimeout, ShardQueue, SoftwareSource, SubmitError,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 const PROGRAM: &str = "main:\n li a0, 41\n addi a0, a0, 1\n li a7, 93\n ecall\n";
@@ -272,4 +274,209 @@ fn daemon_frames_cross_the_untrusted_channel() {
         handle.recycle(frame);
     }
     daemon.shutdown();
+}
+
+/// A `submit` racing `begin_shutdown` on another thread is either
+/// refused or fully delivered: an accepted batch must never be left
+/// queued after every worker has exited.
+///
+/// Each iteration starts a one-worker daemon, warms its cache (so the
+/// racing `submit` goes straight to the queue), and releases a
+/// one-device `submit` and a `begin_shutdown` together, the latter
+/// after a spin of 0–63 iterations. A stranded batch never delivers an
+/// outcome, so the bounded wait fails the test instead of hanging it.
+#[test]
+fn submit_racing_shutdown_is_refused_or_delivered() {
+    let (_, creds) = fleet(1, 3600);
+    let config = EncryptionConfig::full();
+    let image = SoftwareSource::new("vendor")
+        .compile(PROGRAM, false)
+        .unwrap();
+    for iteration in 0..2000u32 {
+        let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), 1);
+        let warm = daemon.submit(&image, &config, creds.clone()).unwrap();
+        warm.iter().for_each(|o| warm.recycle(o.result.unwrap()));
+        let start = Barrier::new(2);
+        let accepted = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..iteration % 64 {
+                    std::hint::spin_loop();
+                }
+                daemon.begin_shutdown();
+            });
+            start.wait();
+            daemon.submit(&image, &config, creds.clone())
+        });
+        match accepted {
+            Ok(handle) => match handle.recv_timeout(Duration::from_secs(10)) {
+                RecvTimeout::Outcome(outcome) => handle.recycle(outcome.result.unwrap()),
+                other => panic!(
+                    "iteration {iteration}: accepted batch stranded ({other:?}, {:?})",
+                    daemon.health()
+                ),
+            },
+            Err(EricError::Config(msg)) if msg.contains("shut down") => {}
+            Err(other) => panic!("iteration {iteration}: unexpected refusal {other}"),
+        }
+    }
+}
+
+/// Seeded schedule noise: a `yield_now` or a 0–200 µs sleep, fixed per
+/// `(seed, point)`.
+fn perturb(seed: u64, point: u64) {
+    // SplitMix64 finalizer over the pair.
+    let mut z = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(point.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    if z & 1 == 0 {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(Duration::from_micros((z >> 1) % 201));
+    }
+}
+
+/// What one producer saw: the batches it had accepted and the sheds
+/// it was refused with.
+#[derive(Default)]
+struct ProducerLog {
+    accepted: usize,
+    sheds: u64,
+}
+
+/// One consumer: drain every handed-over batch through `recv_timeout`,
+/// perturb between receipt and `recycle`, and check each batch
+/// delivers every index exactly once.
+fn consume(seed: u64, batches: mpsc::Receiver<(usize, BatchHandle)>) -> usize {
+    let mut consumed = 0;
+    for (batch, handle) in batches {
+        let mut seen = vec![false; handle.devices()];
+        loop {
+            match handle.recv_timeout(Duration::from_secs(10)) {
+                RecvTimeout::Outcome(outcome) => {
+                    assert!(
+                        !std::mem::replace(&mut seen[outcome.index], true),
+                        "seed {seed}: batch {batch} delivered index {} twice",
+                        outcome.index
+                    );
+                    let frame = outcome.result.unwrap_or_else(|e| {
+                        panic!("seed {seed}: batch {batch} index {}: {e}", outcome.index)
+                    });
+                    perturb(seed, 1_000 + outcome.index as u64);
+                    handle.recycle(frame);
+                }
+                RecvTimeout::Complete => break,
+                RecvTimeout::TimedOut => panic!("seed {seed}: batch {batch} stranded"),
+            }
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "seed {seed}: batch {batch} missed indices: {seen:?}"
+        );
+        consumed += 1;
+    }
+    consumed
+}
+
+/// One seeded run: three producers mixing `submit`, `try_submit` and
+/// `submit_deadline` into a depth-2 queue, a consumer per producer,
+/// the packaging hook and the consumers injecting schedule noise, and
+/// one seeded submission attempt in the second half calling
+/// `begin_shutdown` first.
+fn perturbed_run(seed: u64, workers: usize) {
+    const PRODUCERS: u64 = 3;
+    const ATTEMPTS: u64 = 8;
+    let daemon = ProvisioningDaemon::start_with(SoftwareSource::new("vendor"), workers, 8, 2);
+    let (_, creds) = fleet(6, 3700);
+    let image = daemon.source().compile(PROGRAM, false).unwrap();
+    let config = EncryptionConfig::full();
+    daemon.set_packaging_hook(Some(Arc::new(move |index| perturb(seed, index as u64))));
+    let half = PRODUCERS * ATTEMPTS / 2;
+    let shutdown_at = half + seed % half;
+    let attempt_no = AtomicUsize::new(0);
+    let (logs, consumed): (Vec<ProducerLog>, usize) = std::thread::scope(|scope| {
+        let mut producers = Vec::new();
+        let mut consumers = Vec::new();
+        for p in 0..PRODUCERS {
+            let (tx, rx) = mpsc::channel();
+            consumers.push(scope.spawn(move || consume(seed, rx)));
+            let (daemon, image, config, creds, attempt_no) =
+                (&daemon, &image, &config, &creds, &attempt_no);
+            producers.push(scope.spawn(move || {
+                let mut log = ProducerLog::default();
+                for a in 0..ATTEMPTS {
+                    let point = 10_000 + p * ATTEMPTS + a;
+                    perturb(seed, point);
+                    if attempt_no.fetch_add(1, Ordering::Relaxed) as u64 == shutdown_at {
+                        daemon.begin_shutdown();
+                    }
+                    let batch = creds[..1 + (point as usize % creds.len())].to_vec();
+                    let submitted = match (seed + point) % 3 {
+                        0 => daemon.submit(image, config, batch).map_err(|e| match e {
+                            EricError::Config(msg) if msg.contains("shut down") => {
+                                SubmitError::ShutDown
+                            }
+                            other => SubmitError::Rejected(other),
+                        }),
+                        1 => daemon.try_submit(image, config, batch),
+                        _ => daemon.submit_deadline(
+                            image,
+                            config,
+                            batch,
+                            Duration::from_micros((seed + point) % 2_000),
+                        ),
+                    };
+                    match submitted {
+                        Ok(handle) => {
+                            tx.send((log.accepted, handle)).unwrap();
+                            log.accepted += 1;
+                        }
+                        Err(SubmitError::QueueFull | SubmitError::Timeout) => log.sheds += 1,
+                        Err(SubmitError::ShutDown) => {}
+                        Err(SubmitError::Rejected(e)) => panic!("seed {seed}: rejected: {e}"),
+                    }
+                }
+                log
+            }));
+        }
+        let logs = producers.into_iter().map(|p| p.join().unwrap()).collect();
+        (logs, consumers.into_iter().map(|c| c.join().unwrap()).sum())
+    });
+    assert_eq!(consumed, logs.iter().map(|l| l.accepted).sum::<usize>());
+    daemon.drain();
+    let health = daemon.health();
+    assert_eq!(
+        health.completed_devices, health.submitted_devices,
+        "seed {seed}: {health:?}"
+    );
+    assert_eq!(health.failed_devices, 0, "seed {seed}: {health:?}");
+    assert_eq!(
+        health.sheds,
+        logs.iter().map(|l| l.sheds).sum::<u64>(),
+        "seed {seed}: sheds disagree with the refusals seen"
+    );
+    assert_eq!(
+        daemon.pool().created(),
+        daemon.pool().pooled(),
+        "seed {seed}: a frame buffer never came back to the pool"
+    );
+    daemon.shutdown();
+}
+
+/// The one worker pool under perturbed schedules: over a fixed range
+/// of seeds, every accepted batch delivers each index exactly once,
+/// the health ledger balances (every submitted device completed, one
+/// shed per `QueueFull`/`Timeout` refusal), and every frame buffer
+/// returns to the pool.
+#[test]
+fn perturbed_schedules_deliver_every_accepted_batch_exactly_once() {
+    let workers = matrix_workers();
+    for seed in 0..48u64 {
+        if std::panic::catch_unwind(|| perturbed_run(seed, workers)).is_err() {
+            panic!("perturbed schedule failed at seed {seed} with {workers} workers");
+        }
+    }
 }
