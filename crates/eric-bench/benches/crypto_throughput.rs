@@ -1,8 +1,9 @@
 //! Crypto-primitive microbenchmark (cipher-choice ablation: the
 //! paper's pluggable encryption function), comparing the block
 //! keystream path against the per-byte reference the decrypt hot loop
-//! used before the run-based redesign, and the multi-buffer SHA-CTR
-//! fill against the single-block scalar compress it replaced.
+//! used before the run-based redesign, the multi-buffer SHA-CTR fill
+//! against the single-block scalar compress it replaced, and batched
+//! leaf hashing against one segment at a time.
 
 use eric_bench::output::{banner, smoke_mode, write_bench_json, write_json};
 use eric_bench::{crypto_throughput, CipherRow};
@@ -62,6 +63,24 @@ fn main() {
     println!("this is the tier the v1 signature chain, the streaming hasher, and");
     println!("the Merkle fold ride — sequential work no multi-buffer width reaches.");
 
+    println!(
+        "\nleaf hashing (1 MiB in 64 KiB segments), hash engine = {}:",
+        report.hash_engine
+    );
+    println!(
+        "{:<26} {:>16}",
+        "batch leaves (MiB/s)", "one at a time (MiB/s)"
+    );
+    println!(
+        "{:<26.1} {:>16.1}   ({:.2}x, median of alternating rounds)",
+        report.leaf_hash_batch_mib_s,
+        report.leaf_hash_one_at_a_time_mib_s,
+        report.leaf_hash_batch_speedup
+    );
+    println!("batch = leaf_digests_batch on the multi-buffer engine (on sha-ni, two");
+    println!("blocks per kernel call); one at a time = leaf_digest per segment on the");
+    println!("single-stream engine.");
+
     let xor: &CipherRow = report
         .rows
         .iter()
@@ -101,6 +120,23 @@ fn main() {
                 println!("single-stream floor OK: sha-ni speedup {speedup:.1}x >= 1.5x");
             }
             None => println!("single-stream floor skipped: no SHA-NI on this host"),
+        }
+        if report.hash_engine == "sha-ni" {
+            assert!(
+                report.leaf_hash_batch_speedup >= 1.1,
+                "batched leaf hashing (two-way SHA-NI kernel) must be >= 1.1x one \
+                 segment at a time on 1 MiB, measured {:.2}x (median of rounds)",
+                report.leaf_hash_batch_speedup
+            );
+            println!(
+                "two-way leaf-hash floor OK: batch {:.2}x >= 1.1x one at a time",
+                report.leaf_hash_batch_speedup
+            );
+        } else {
+            println!(
+                "two-way leaf-hash floor skipped: active hash engine is {}, not sha-ni",
+                report.hash_engine
+            );
         }
     }
 

@@ -597,6 +597,19 @@ pub struct CryptoThroughputReport {
     /// Which single-stream compress engine the process-wide dispatch
     /// picked (`sha-ni`/`scalar`).
     pub compress_engine: String,
+    /// `tree::leaf_digests_batch` over 1 MiB in
+    /// [`eric_hde::DEFAULT_SEGMENT_LEN`] segments on the active
+    /// multi-buffer engine, MiB/s (median over the alternating rounds):
+    /// the device's leaf pass (on `sha-ni`, two blocks per kernel call).
+    pub leaf_hash_batch_mib_s: f64,
+    /// The same leaves through `tree::leaf_digest`, one segment at a
+    /// time on the single-stream engine (on SHA-NI hosts, one chain at
+    /// a time), MiB/s (median over the rounds).
+    pub leaf_hash_one_at_a_time_mib_s: f64,
+    /// Median over the alternating rounds of each round's batch /
+    /// one-at-a-time ratio — what the two-way interleaved kernel buys
+    /// the leaf pass.
+    pub leaf_hash_batch_speedup: f64,
 }
 
 /// Median wall time of `f` over `iters` runs, as MiB/s for `mib` MiB;
@@ -682,6 +695,8 @@ pub fn crypto_throughput() -> CryptoThroughputReport {
             _ => singlestream_shani_mib_s = Some(mib_s),
         }
     }
+    let (leaf_hash_batch_mib_s, leaf_hash_one_at_a_time_mib_s, leaf_hash_batch_speedup) =
+        leaf_hash_rounds(&buf, if crate::output::smoke_mode() { 1 } else { 5 });
     CryptoThroughputReport {
         rows,
         sha256_mib_s,
@@ -696,7 +711,59 @@ pub fn crypto_throughput() -> CryptoThroughputReport {
         singlestream_shani_speedup: singlestream_shani_mib_s
             .map(|s| s / singlestream_scalar_mib_s.max(f64::EPSILON)),
         compress_engine: eric_crypto::sha256::active_compress().name().to_string(),
+        leaf_hash_batch_mib_s,
+        leaf_hash_one_at_a_time_mib_s,
+        leaf_hash_batch_speedup,
     }
+}
+
+/// Leaf digests of `data` in [`eric_hde::DEFAULT_SEGMENT_LEN`]
+/// segments, batched (`leaf-hash-batch`) against one segment at a time
+/// (`leaf-hash-one-at-a-time`), over `rounds` rounds that alternate
+/// which path runs first. Returns each path's MiB/s and the speedup.
+/// Each path's recorded measurement is the median and spread of its
+/// per-round medians; the speedup is the median of the per-round
+/// ratios, so one round slowed by a neighbour on the host's SHA units
+/// cannot decide it.
+fn leaf_hash_rounds(data: &[u8], rounds: usize) -> (f64, f64, f64) {
+    use crate::output::{measure_stats, record, stats_of};
+    use eric_crypto::sha256::tree::{leaf_digest, leaf_digests_batch};
+    const ITERS: u32 = 7;
+    let segment = eric_hde::DEFAULT_SEGMENT_LEN as usize;
+    let mut batch = || {
+        std::hint::black_box(leaf_digests_batch(0, std::hint::black_box(data), segment));
+    };
+    let mut one_at_a_time = || {
+        for (i, seg) in std::hint::black_box(data).chunks(segment).enumerate() {
+            std::hint::black_box(leaf_digest(i as u64, seg));
+        }
+    };
+    let time = |f: &mut dyn FnMut()| measure_stats(WARMUP_ITERS, ITERS, f).median;
+    let (mut batch_times, mut single_times, mut ratios) = (vec![], vec![], vec![]);
+    for round in 0..rounds {
+        let (b, s) = if round % 2 == 0 {
+            let b = time(&mut batch);
+            (b, time(&mut one_at_a_time))
+        } else {
+            let s = time(&mut one_at_a_time);
+            (time(&mut batch), s)
+        };
+        batch_times.push(b);
+        single_times.push(s);
+        ratios.push(s.as_secs_f64() / b.as_secs_f64().max(f64::EPSILON));
+    }
+    let bytes = data.len() as u64;
+    let summarize = |experiment: &str, times: &mut [Duration]| {
+        let m = stats_of(times);
+        record(experiment, m, Some(bytes));
+        bytes as f64 / (1u64 << 20) as f64 / m.median.as_secs_f64().max(f64::EPSILON)
+    };
+    ratios.sort_by(f64::total_cmp);
+    (
+        summarize("leaf-hash-batch", &mut batch_times),
+        summarize("leaf-hash-one-at-a-time", &mut single_times),
+        ratios[ratios.len() / 2],
+    )
 }
 
 /// One provisioning-fan-out row: batch throughput at a worker count.
@@ -1296,7 +1363,10 @@ crate::impl_json_struct!(CryptoThroughputReport {
     singlestream_scalar_mib_s,
     singlestream_shani_mib_s,
     singlestream_shani_speedup,
-    compress_engine
+    compress_engine,
+    leaf_hash_batch_mib_s,
+    leaf_hash_one_at_a_time_mib_s,
+    leaf_hash_batch_speedup
 });
 // ---------------------------------------------------------------------
 // Simulator dispatch — step oracle vs block engine + threaded fleet runner
@@ -2225,5 +2295,10 @@ mod tests {
         if let Some(s) = r.singlestream_shani_speedup {
             assert!(s > 0.0);
         }
+        // Leaf hashing, batched against one segment at a time; no
+        // ratio floor here either.
+        assert!(r.leaf_hash_batch_mib_s > 0.0);
+        assert!(r.leaf_hash_one_at_a_time_mib_s > 0.0);
+        assert!(r.leaf_hash_batch_speedup > 0.0);
     }
 }

@@ -379,7 +379,11 @@ impl From<SubmitError> for EricError {
 /// submitted device has reached exactly one terminal outcome —
 /// `completed_devices == submitted_devices`, with `failed_devices`
 /// the subset whose outcome was an error (including contained
-/// panics).
+/// panics). A live snapshot, taken while batches are in flight,
+/// always has `failed_devices <= completed_devices <=
+/// submitted_devices`: a device is counted submitted before a worker
+/// can claim it, and [`ProvisioningDaemon::health`] reads the
+/// counters in the reverse of that order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DaemonHealth {
     /// Batches waiting in the submission queue right now.
@@ -755,13 +759,17 @@ impl ProvisioningDaemon {
                 }
             };
         }
-        queue.jobs.push_back(job);
-        queue.active += 1;
-        drop(queue);
+        // Counted before the push, under the lock a worker takes to
+        // claim the job: the count happens before any of its devices
+        // can complete, which is what keeps `health()` snapshots
+        // ordered.
         self.shared
             .health
             .submitted
             .fetch_add(devices as u64, Ordering::Relaxed);
+        queue.jobs.push_back(job);
+        queue.active += 1;
+        drop(queue);
         self.shared.work_cv.notify_all();
         Ok(handle)
     }
@@ -775,12 +783,20 @@ impl ProvisioningDaemon {
             (queue.jobs.len(), queue.active)
         };
         let h = &self.shared.health;
+        // Read in the reverse of write order. A worker bumps
+        // `completed` then `failed` (both `Release`), each after
+        // claiming its job under the queue lock that `submitted` was
+        // bumped under, so each `Acquire` load below sees at least
+        // every increment behind the counts already read.
+        let failed_devices = h.failed.load(Ordering::Acquire);
+        let completed_devices = h.completed.load(Ordering::Acquire);
+        let submitted_devices = h.submitted.load(Ordering::Acquire);
         DaemonHealth {
             queued_batches,
             active_batches,
-            submitted_devices: h.submitted.load(Ordering::Relaxed),
-            completed_devices: h.completed.load(Ordering::Relaxed),
-            failed_devices: h.failed.load(Ordering::Relaxed),
+            submitted_devices,
+            completed_devices,
+            failed_devices,
             sheds: h.sheds.load(Ordering::Relaxed),
             panics: h.panics.load(Ordering::Relaxed),
             retries: h.retries.load(Ordering::Relaxed),
@@ -931,9 +947,10 @@ fn worker_loop(shared: &DaemonShared, worker: usize) {
                     Err(EricError::Panic(panic_message(payload)))
                 }
             };
-            shared.health.completed.fetch_add(1, Ordering::Relaxed);
+            // `Release`, paired with the `Acquire` loads in `health()`.
+            shared.health.completed.fetch_add(1, Ordering::Release);
             if result.is_err() {
-                shared.health.failed.fetch_add(1, Ordering::Relaxed);
+                shared.health.failed.fetch_add(1, Ordering::Release);
             }
             let outcome = WireOutcome {
                 index,

@@ -401,16 +401,104 @@ pub fn active_compress() -> &'static CompressEngine {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod shani {
-    //! The `std::arch` SHA-NI kernel: four FIPS rounds per
+    //! The `std::arch` SHA-NI kernels: four FIPS rounds per pair of
     //! `sha256rnds2`, message schedule via `sha256msg1`/`sha256msg2`.
     //!
     //! The instructions operate on an (ABEF, CDGH) packing of the eight
-    //! working variables, so the kernel transposes the standard
-    //! `[a..h]` state in on entry and back out on exit; everything in
-    //! between is sixteen `rnds2` pairs over the on-the-fly schedule.
+    //! working variables, so each kernel transposes the standard
+    //! `[a..h]` state in on entry and back out on exit (`pack` /
+    //! `unpack`); everything in between is sixteen `rnds2` pairs over
+    //! the on-the-fly schedule.
+    //!
+    //! [`compress_block`] runs one block: every `rnds2` waits on the
+    //! one before it. [`compress_block_x2`] runs two independent
+    //! blocks and issues their round chains and schedules alternately,
+    //! so one block's rounds fill the other's latency; the multi-buffer
+    //! `sha-ni` engine pairs its batches onto it.
 
     use super::K;
     use core::arch::x86_64::*;
+
+    /// Row t of the round-constant table: K[4t..4t+4], lane 0 first.
+    ///
+    /// # Safety
+    ///
+    /// `t < 16`, and the CPU must support the features of
+    /// [`compress_block`].
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    unsafe fn k_row(t: usize) -> __m128i {
+        _mm_loadu_si128(K.as_ptr().add(4 * t).cast())
+    }
+
+    /// Message row t (`t < 4`): block words 4t..4t+4, byte-swapped from
+    /// big-endian.
+    ///
+    /// # Safety
+    ///
+    /// `t < 4`, and the CPU must support the features of
+    /// [`compress_block`].
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    unsafe fn load_row(block: &[u8; 64], t: usize) -> __m128i {
+        let be_mask = _mm_set_epi64x(0x0c0d0e0f_08090a0bu64 as i64, 0x04050607_00010203u64 as i64);
+        _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * t).cast()), be_mask)
+    }
+
+    /// The message row after the window `w` of rows t-4..t (oldest
+    /// first; one row = four W words): msg2(msg1(row[t-4], row[t-3]) +
+    /// (W[4t-7..] via alignr of rows t-1/t-2), row[t-1]).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the features of [`compress_block`].
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    unsafe fn next_row(w: [__m128i; 4]) -> __m128i {
+        _mm_sha256msg2_epu32(
+            _mm_add_epi32(
+                _mm_sha256msg1_epu32(w[0], w[1]),
+                _mm_alignr_epi8(w[3], w[2], 4),
+            ),
+            w[3],
+        )
+    }
+
+    /// Repack (a,b,c,d),(e,f,g,h) into the (ABEF, CDGH) register
+    /// layout the `sha256rnds2` instruction expects.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the features of [`compress_block`].
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    unsafe fn pack(state: &[u32; 8]) -> (__m128i, __m128i) {
+        let abcd = _mm_loadu_si128(state.as_ptr().cast());
+        let efgh = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+        let efgh = _mm_shuffle_epi32(efgh, 0x1B);
+        (
+            _mm_alignr_epi8(cdab, efgh, 8),
+            _mm_blend_epi16(efgh, cdab, 0xF0),
+        )
+    }
+
+    /// Unpack (ABEF, CDGH) back to `[a..h]` in `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the features of [`compress_block`].
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    unsafe fn unpack(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
+    }
 
     /// Compress one 64-byte block into `state` with the SHA-NI
     /// instructions.
@@ -421,62 +509,104 @@ pub(crate) mod shani {
     /// (checked by [`super::shani_detected`]).
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     pub unsafe fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
-        // Row t of the round-constant table: K[4t..4t+4], lane 0 first.
-        let kv = |t: usize| _mm_loadu_si128(K.as_ptr().add(4 * t).cast());
-        // Per-32-bit-word byte swap: the message words are big-endian.
-        let be_mask = _mm_set_epi64x(0x0c0d0e0f_08090a0bu64 as i64, 0x04050607_00010203u64 as i64);
-
-        // Repack (a,b,c,d),(e,f,g,h) into the (ABEF, CDGH) register
-        // layout the sha256rnds2 instruction expects.
-        let abcd = _mm_loadu_si128(state.as_ptr().cast());
-        let efgh = _mm_loadu_si128(state.as_ptr().add(4).cast());
-        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
-        let efgh = _mm_shuffle_epi32(efgh, 0x1B);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+        let (mut abef, mut cdgh) = pack(state);
         let (abef_in, cdgh_in) = (abef, cdgh);
 
         // Four rounds: low two message words through one rnds2 into
         // CDGH, high two through the next into ABEF.
         macro_rules! rounds4 {
             ($w:expr, $t:expr) => {{
-                let msg = _mm_add_epi32($w, kv($t));
+                let msg = _mm_add_epi32($w, k_row($t));
                 cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
                 abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
             }};
         }
 
-        // w[i % 4] holds message-schedule row i-4..i of the rotating
-        // window (one row = four W words).
+        // w[i % 4] holds message row i of the rotating window.
         let mut w = [_mm_setzero_si128(); 4];
         for (t, wt) in w.iter_mut().enumerate() {
-            *wt = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * t).cast()), be_mask);
-            let row = *wt;
-            rounds4!(row, t);
+            *wt = load_row(block, t);
+            rounds4!(*wt, t);
         }
         for t in 4..16 {
-            // W[4t..] = msg2(msg1(row[t-4], row[t-3]) + (W[t·4-7..] via
-            // alignr of rows t-1/t-2), row[t-1]).
-            let next = _mm_sha256msg2_epu32(
-                _mm_add_epi32(
-                    _mm_sha256msg1_epu32(w[t % 4], w[(t + 1) % 4]),
-                    _mm_alignr_epi8(w[(t + 3) % 4], w[(t + 2) % 4], 4),
-                ),
-                w[(t + 3) % 4],
-            );
+            let next = next_row([w[t % 4], w[(t + 1) % 4], w[(t + 2) % 4], w[(t + 3) % 4]]);
             rounds4!(next, t);
             w[t % 4] = next;
         }
 
-        // Feed-forward, then unpack (ABEF, CDGH) back to [a..h].
-        abef = _mm_add_epi32(abef, abef_in);
-        cdgh = _mm_add_epi32(cdgh, cdgh_in);
-        let feba = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
-        _mm_storeu_si128(
-            state.as_mut_ptr().add(4).cast(),
-            _mm_alignr_epi8(dchg, feba, 8),
+        // Feed-forward, then back to [a..h].
+        unpack(
+            state,
+            _mm_add_epi32(abef, abef_in),
+            _mm_add_epi32(cdgh, cdgh_in),
+        );
+    }
+
+    /// Compress `b0` into `s0` and `b1` into `s1`: the same sixteen
+    /// four-round steps as [`compress_block`], for two independent
+    /// pairs at once.
+    ///
+    /// The two `sha256rnds2` chains and the two message schedules are
+    /// issued alternately and share each round-constant row load, so
+    /// the SHA unit works on one block while the other waits out its
+    /// `rnds2` latency. Bit-identical to two [`compress_block`] calls.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha`, `ssse3`, and `sse4.1` features
+    /// (checked by [`super::shani_detected`]).
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub unsafe fn compress_block_x2(
+        s0: &mut [u32; 8],
+        b0: &[u8; 64],
+        s1: &mut [u32; 8],
+        b1: &[u8; 64],
+    ) {
+        let (mut abef0, mut cdgh0) = pack(s0);
+        let (mut abef1, mut cdgh1) = pack(s1);
+        let (abef0_in, cdgh0_in, abef1_in, cdgh1_in) = (abef0, cdgh0, abef1, cdgh1);
+
+        // `rounds4!` of `compress_block` for both blocks, one rnds2 of
+        // each in turn.
+        macro_rules! rounds4x2 {
+            ($w0:expr, $w1:expr, $t:expr) => {{
+                let k = k_row($t);
+                let msg0 = _mm_add_epi32($w0, k);
+                let msg1 = _mm_add_epi32($w1, k);
+                cdgh0 = _mm_sha256rnds2_epu32(cdgh0, abef0, msg0);
+                cdgh1 = _mm_sha256rnds2_epu32(cdgh1, abef1, msg1);
+                abef0 = _mm_sha256rnds2_epu32(abef0, cdgh0, _mm_shuffle_epi32(msg0, 0x0E));
+                abef1 = _mm_sha256rnds2_epu32(abef1, cdgh1, _mm_shuffle_epi32(msg1, 0x0E));
+            }};
+        }
+
+        // The last four message rows of each block, oldest first.
+        // Shifted by value rather than indexed by `t % 4`, so both
+        // windows stay in registers and the loop unrolls.
+        let mut w0 = [_mm_setzero_si128(); 4];
+        let mut w1 = [_mm_setzero_si128(); 4];
+        for t in 0..4 {
+            w0[t] = load_row(b0, t);
+            w1[t] = load_row(b1, t);
+            rounds4x2!(w0[t], w1[t], t);
+        }
+        for t in 4..16 {
+            let next0 = next_row(w0);
+            let next1 = next_row(w1);
+            rounds4x2!(next0, next1, t);
+            w0 = [w0[1], w0[2], w0[3], next0];
+            w1 = [w1[1], w1[2], w1[3], next1];
+        }
+
+        unpack(
+            s0,
+            _mm_add_epi32(abef0, abef0_in),
+            _mm_add_epi32(cdgh0, cdgh0_in),
+        );
+        unpack(
+            s1,
+            _mm_add_epi32(abef1, abef1_in),
+            _mm_add_epi32(cdgh1, cdgh1_in),
         );
     }
 }
@@ -922,13 +1052,25 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
 
     #[test]
     fn multibuffer_golden_vectors_on_every_engine() {
-        // One-lane MultiSha256 runs the wide kernels' buffering and
-        // padding on the exact standard vectors.
+        // MultiSha256 runs the wide kernels' buffering and padding on
+        // the exact standard vectors. Two and three lanes (the same
+        // message in each) put the vectors through the paired SHA-NI
+        // kernel and its odd remainder, pinning its packing to the
+        // standard, not only to our scalar code.
         for engine in multibuffer::engines() {
-            for (msg, want) in NIST_VECTORS {
-                let mut h = multibuffer::MultiSha256::with_engine(1, engine);
-                h.update(&[msg]);
-                assert_eq!(h.finalize()[0].to_hex(), want, "{}", engine.name());
+            for lanes in 1..=3 {
+                for (msg, want) in NIST_VECTORS {
+                    let mut h = multibuffer::MultiSha256::with_engine(lanes, engine);
+                    h.update(&vec![msg; lanes]);
+                    for (lane, digest) in h.finalize().iter().enumerate() {
+                        assert_eq!(
+                            digest.to_hex(),
+                            want,
+                            "{} lanes={lanes} lane={lane}",
+                            engine.name()
+                        );
+                    }
+                }
             }
         }
     }

@@ -12,9 +12,10 @@
 //! Three kernels implement [`Engine::compress_blocks`]:
 //!
 //! * **sha-ni** (`x86_64` only) — the dedicated SHA-256 instructions,
-//!   one block per call in a sequential loop over the batch. A single
-//!   hardware-assisted chain outruns eight software-vectorized ones,
-//!   so where detected this is also the fastest *batch* backend;
+//!   two blocks per kernel call with their round chains interleaved
+//!   (an odd last block runs alone). Even one hardware-assisted chain
+//!   outruns eight software-vectorized ones, so where detected this is
+//!   also the fastest *batch* backend;
 //! * **avx2** (`x86_64` only) — an explicit `std::arch` 8-wide
 //!   lockstep kernel behind `is_x86_feature_detected!` detection;
 //! * **portable** — plain `u32`-array lanes with fixed widths 8 and 4,
@@ -166,16 +167,25 @@ pub fn active() -> &'static Engine {
     })
 }
 
-/// SHA-NI dispatch target: the batch is a plain sequential loop over
-/// the single-stream kernel — the dedicated instructions retire a
-/// block faster than eight software-vectorized lanes amortize one, so
-/// no lockstep transposition pays for itself here.
+/// SHA-NI dispatch target: the batch is walked in pairs through the
+/// two-way interleaved kernel, whose two independent `sha256rnds2`
+/// chains keep the SHA unit busy through each other's latency; an odd
+/// last pair goes through the one-block kernel. The dedicated
+/// instructions retire a block faster than eight software-vectorized
+/// lanes amortize one, so no wider lockstep transposition pays for
+/// itself here.
 #[cfg(target_arch = "x86_64")]
 fn compress_many_shani(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    for (state, block) in states.iter_mut().zip(blocks) {
+    let (state_pairs, state_tail) = states.as_chunks_mut::<2>();
+    let (block_pairs, block_tail) = blocks.as_chunks::<2>();
+    for ([s0, s1], [b0, b1]) in state_pairs.iter_mut().zip(block_pairs) {
         // SAFETY: this function is only reachable through the `SHANI`
         // engine, which `engines()` exposes only after
         // `shani_detected()` confirmed the sha/ssse3/sse4.1 features.
+        unsafe { super::shani::compress_block_x2(s0, b0, s1, b1) };
+    }
+    for (state, block) in state_tail.iter_mut().zip(block_tail) {
+        // SAFETY: as above — only reachable through the `SHANI` engine.
         unsafe { super::shani::compress_block(state, block) };
     }
 }
@@ -554,9 +564,11 @@ mod tests {
     use super::*;
     use crate::sha256::sha256;
 
-    /// Deterministic pseudo-random bytes for lane payloads.
+    /// Deterministic pseudo-random bytes for lane payloads; distinct
+    /// seeds give distinct streams (xorshift needs a non-zero state,
+    /// and `seed | 1` alone would give seeds 2k and 2k+1 one stream).
     fn lane_bytes(seed: u64, len: usize) -> Vec<u8> {
-        let mut s = seed | 1;
+        let mut s = (seed << 1) | 1;
         (0..len)
             .map(|_| {
                 s ^= s << 13;
@@ -607,17 +619,29 @@ mod tests {
     #[test]
     fn compress_blocks_handles_any_batch_length() {
         // 0..=20 covers the 8-wide, 4-wide, and scalar remainders of
-        // both kernels.
-        let block = [0x5Au8; 64];
+        // the lockstep kernels and every pair plus the odd remainder
+        // of the paired SHA-NI kernel. Each lane gets its own state and
+        // block, so a kernel that wrote one lane's result into another
+        // (say, its partner in a pair) fails here.
         for engine in engines() {
             for n in 0..=20usize {
-                let mut states = vec![H0; n];
-                let blocks = vec![block; n];
+                let (starts, blocks): (Vec<[u32; 8]>, Vec<[u8; 64]>) = (0..n)
+                    .map(|l| {
+                        let bytes = lane_bytes(0x5EED_0000 + (n * 32 + l) as u64, 96);
+                        let state: [u32; 8] = std::array::from_fn(|w| {
+                            u32::from_le_bytes(bytes[4 * w..4 * w + 4].try_into().unwrap())
+                        });
+                        let block: [u8; 64] = bytes[32..].try_into().unwrap();
+                        (state, block)
+                    })
+                    .unzip();
+                let mut states = starts.clone();
                 engine.compress_blocks(&mut states, &blocks);
-                let mut want = H0;
-                Sha256::compress_block(&mut want, &block);
-                for (i, s) in states.iter().enumerate() {
-                    assert_eq!(*s, want, "{} n={n} lane={i}", engine.name());
+                let lanes = starts.iter().zip(&blocks).zip(&states);
+                for (i, ((start, block), got)) in lanes.enumerate() {
+                    let mut want = *start;
+                    Sha256::compress_block_scalar(&mut want, block);
+                    assert_eq!(*got, want, "{} n={n} lane={i}", engine.name());
                 }
             }
         }

@@ -1,7 +1,8 @@
 //! Lifecycle tests for the resident provisioning daemon: backpressure
 //! bounds, work stealing under skew, cache invalidation across
 //! credential rotation, clean drain/shutdown, a submission racing
-//! shutdown, and seeded schedule perturbation.
+//! shutdown, ordered live health snapshots, and seeded schedule
+//! perturbation.
 //!
 //! The worker count honors `ERIC_PROVISION_WORKERS` (CI runs a small
 //! matrix over it); tests that need a specific shape clamp it locally.
@@ -10,7 +11,7 @@ use eric::core::{
     BatchHandle, Channel, Device, EncryptionConfig, EricError, Package, ProvisioningDaemon,
     RecvTimeout, ShardQueue, SoftwareSource, SubmitError,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
@@ -320,6 +321,58 @@ fn submit_racing_shutdown_is_refused_or_delivered() {
             Err(other) => panic!("iteration {iteration}: unexpected refusal {other}"),
         }
     }
+}
+
+/// A live `health()` snapshot is always ordered:
+/// `failed_devices <= completed_devices <= submitted_devices`.
+///
+/// One producer submits one-device batches into a warm cache as fast
+/// as the workers drain them, so a worker often claims a job the
+/// moment `submit` releases the queue lock, while a poller checks
+/// every snapshot it can take. A device counted completed before it
+/// was counted submitted shows up here as an out-of-order snapshot.
+#[test]
+fn live_health_snapshots_stay_ordered() {
+    const BATCHES: usize = 3000;
+    let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), matrix_workers());
+    let (_, creds) = fleet(1, 3800);
+    let image = daemon.source().compile(PROGRAM, false).unwrap();
+    let config = EncryptionConfig::full();
+    let warm = daemon.submit(&image, &config, creds.clone()).unwrap();
+    warm.iter().for_each(|o| warm.recycle(o.result.unwrap()));
+    let done = AtomicBool::new(false);
+    let (snapshots, bad, first_bad) = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let (mut snapshots, mut bad, mut first_bad) = (0u64, 0u64, None);
+            while !done.load(Ordering::Relaxed) {
+                let h = daemon.health();
+                snapshots += 1;
+                if h.failed_devices > h.completed_devices
+                    || h.completed_devices > h.submitted_devices
+                {
+                    bad += 1;
+                    first_bad.get_or_insert(h);
+                }
+            }
+            (snapshots, bad, first_bad)
+        });
+        for _ in 0..BATCHES {
+            // Dropping the handle abandons the outcome; the worker
+            // still completes and counts the device.
+            drop(daemon.submit(&image, &config, creds.clone()).unwrap());
+        }
+        done.store(true, Ordering::Relaxed);
+        poller.join().unwrap()
+    });
+    assert_eq!(
+        bad, 0,
+        "{bad} of {snapshots} live snapshots out of order, first {first_bad:?}"
+    );
+    daemon.drain();
+    let health = daemon.health();
+    assert_eq!(health.submitted_devices, BATCHES as u64 + 1, "{health:?}");
+    assert_eq!(health.completed_devices, health.submitted_devices);
+    assert_eq!(health.failed_devices, 0);
 }
 
 /// Seeded schedule noise: a `yield_now` or a 0–200 µs sleep, fixed per
