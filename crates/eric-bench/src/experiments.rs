@@ -1829,8 +1829,8 @@ pub fn delivery_resilience(
     seed: u64,
 ) -> ResilienceReport {
     use eric_core::{
-        DeliveryPolicy, DeliveryStatus, EricError, FaultPlan, LossyChannel, ProvisioningDaemon,
-        ResilientDelivery,
+        DeliveryPolicy, DeliveryStatus, EricError, FaultPlan, LossyChannel, Package,
+        ProvisioningDaemon, ResilientDelivery,
     };
 
     let asm =
@@ -1878,7 +1878,7 @@ pub fn delivery_resilience(
         let t0 = Instant::now();
         for (i, frame) in frames.iter().enumerate() {
             let d0 = Instant::now();
-            let report = delivery.deliver_verified(i as u64, frame, |package| {
+            let report = delivery.deliver_verified(i as u64, frame, |package: &Package| {
                 if package.to_wire() == *frame {
                     Ok(())
                 } else {

@@ -7,11 +7,12 @@
 //! hardware." The channel model serializes a package to wire bytes,
 //! lets an [`Attacker`] act on them, and re-parses at the far end —
 //! exactly what a network adversary can do.
+//!
+//! Every transmit path is generic over [`Frame`], so full packages and
+//! `ERIC2D` deltas meet the same attacker through the same code.
 
-use crate::delta::{DeltaPackage, DELTA_PAYLOAD_LEN_OFFSET};
 use crate::error::EricError;
-use crate::package::Package;
-use eric_hde::wire::PAYLOAD_LEN_OFFSET;
+use crate::package::{Frame, Package};
 
 /// Adversarial actions on in-flight packages.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,23 +85,25 @@ impl Channel {
         package.to_wire()
     }
 
-    /// Transmit a package through the channel, applying the attacker's
+    /// Transmit a frame through the channel, applying the attacker's
     /// action, and re-parse it at the receiver.
     ///
     /// # Errors
     ///
     /// [`EricError::Package`] when the mutation breaks the framing
     /// itself (detected before the HDE even runs).
-    pub fn transmit(&self, package: &Package) -> Result<Package, EricError> {
-        self.transmit_wire(&package.to_wire())
+    pub fn transmit<F: Frame>(&self, frame: &F) -> Result<F, EricError> {
+        let mut wire = Vec::new();
+        frame.serialize_into(&mut wire);
+        self.receive(wire)
     }
 
-    /// Transmit an already-serialized wire frame through the channel —
+    /// Transmit an already-serialized wire frame and parse it as `F` —
     /// the zero-copy provisioning path
     /// ([`SoftwareSource::package_prepared_into`](crate::SoftwareSource::package_prepared_into),
+    /// [`SoftwareSource::package_delta_into`](crate::SoftwareSource::package_delta_into),
     /// the daemon's [`WireFrame`](crate::WireFrame)) hands its bytes
-    /// here without ever materializing a [`Package`] on the sender
-    /// side.
+    /// here without ever materializing a frame on the sender side.
     ///
     /// # Errors
     ///
@@ -125,18 +128,15 @@ impl Channel {
     /// let received = Channel::trusted_free().transmit_wire(&frame).unwrap();
     /// assert_eq!(device.install_and_run(&received).unwrap().exit_code, 5);
     /// ```
-    pub fn transmit_wire(&self, wire: &[u8]) -> Result<Package, EricError> {
-        let mut wire = wire.to_vec();
-        self.damage(&mut wire, PAYLOAD_LEN_OFFSET);
-        Package::from_wire(&wire)
+    pub fn transmit_wire<F: Frame>(&self, wire: &[u8]) -> Result<F, EricError> {
+        self.receive(wire.to_vec())
     }
 
-    /// Apply the attacker's per-frame action to a wire image in place.
-    ///
-    /// Shared by the full-frame and delta-frame transmit paths so the
-    /// two can never drift: only the header offset of the declared
-    /// payload length differs between `ERIC2` and `ERIC2D` framing.
-    fn damage(&self, wire: &mut Vec<u8>, payload_len_offset: usize) {
+    /// Apply the attacker's per-frame action to `wire` in place, then
+    /// parse it as `F`. Every transmit path and every
+    /// [`LossyChannel`](crate::LossyChannel) attempt ends here, so the
+    /// full and delta paths cannot drift apart.
+    pub(crate) fn receive<F: Frame>(&self, mut wire: Vec<u8>) -> Result<F, EricError> {
         match &self.attacker {
             Attacker::Passive => {}
             Attacker::BitFlip { byte, bit } => {
@@ -148,55 +148,23 @@ impl Channel {
                 wire.truncate(*keep);
             }
             Attacker::SubstitutePayload { filler } => {
-                // The payload occupies the wire tail; its length is
-                // declared at a fixed header offset. A delta frame's
-                // tail (changed segments) is usually *shorter* than
-                // the declared target-image length, so the clamp means
-                // the filler may also smear the leaf/root region —
-                // strictly more damage, which the receiver must still
-                // reject.
-                let payload_len = wire
-                    .get(payload_len_offset..payload_len_offset + 4)
-                    .map_or(0, |b| u32::from_le_bytes(b.try_into().unwrap()) as usize);
-                let start = wire.len().saturating_sub(payload_len);
-                for b in &mut wire[start..] {
-                    *b = *filler;
-                }
+                // The payload is the frame's tail, so its length comes
+                // from a parse of the frame as sent. A frame that does
+                // not parse has no payload to find; it is refused below.
+                let payload_len = F::from_wire(&wire).map_or(0, |f| f.payload().len());
+                let start = wire.len() - payload_len;
+                wire[start..].fill(*filler);
             }
             // Batch-order attacks have no effect on a lone frame.
             Attacker::Duplicate { .. } | Attacker::Reorder { .. } => {}
         }
-    }
-
-    /// Transmit a delta frame ([`DeltaPackage`]) through the channel,
-    /// applying the attacker's action, and re-parse it at the receiver.
-    ///
-    /// # Errors
-    ///
-    /// [`EricError::Package`] when the mutation breaks the `ERIC2D`
-    /// framing itself.
-    pub fn transmit_delta(&self, delta: &DeltaPackage) -> Result<DeltaPackage, EricError> {
-        self.transmit_delta_wire(&delta.to_wire())
-    }
-
-    /// Transmit an already-serialized `ERIC2D` frame — the zero-copy
-    /// delta path
-    /// ([`SoftwareSource::package_delta_into`](crate::SoftwareSource::package_delta_into))
-    /// hands its bytes here directly.
-    ///
-    /// # Errors
-    ///
-    /// [`EricError::Package`] when the mutation breaks the framing.
-    pub fn transmit_delta_wire(&self, wire: &[u8]) -> Result<DeltaPackage, EricError> {
-        let mut wire = wire.to_vec();
-        self.damage(&mut wire, DELTA_PAYLOAD_LEN_OFFSET);
-        DeltaPackage::from_wire(&wire)
+        F::from_wire(&wire)
     }
 
     /// Transmit a whole provisioning batch, applying the attacker's
-    /// action to every package independently.
+    /// action to every frame independently.
     ///
-    /// Mirrors the fan-out deployment model: each device's package
+    /// Mirrors the fan-out deployment model: each device's frame
     /// crosses the untrusted network on its own, so a corrupted
     /// delivery to one device never disturbs its siblings' results.
     ///
@@ -235,12 +203,13 @@ impl Channel {
     /// Results come back in **delivery order**: [`Attacker::Reorder`]
     /// swaps two delivery slots, and [`Attacker::Duplicate`] appends a
     /// replayed delivery of one frame (the result vector grows to
-    /// `packages.len() + 1`). Every other attacker — and a passive
-    /// channel — delivers in submission order, one result per package.
-    pub fn transmit_batch(&self, packages: &[Package]) -> Vec<Result<Package, EricError>> {
+    /// `frames.len() + 1`). Every other attacker — and a passive
+    /// channel — delivers in submission order, one result per frame.
+    pub fn transmit_batch<F: Frame>(&self, frames: &[F]) -> Vec<Result<F, EricError>> {
         // Batch-order attacks act on the delivery schedule, not the
-        // bytes; everything else rides the per-frame wire path below.
-        let mut order: Vec<usize> = (0..packages.len()).collect();
+        // bytes; everything else rides the single-frame path, so batch
+        // and single-frame delivery cannot drift apart.
+        let mut order: Vec<usize> = (0..frames.len()).collect();
         match &self.attacker {
             Attacker::Reorder { a, b } if *a < order.len() && *b < order.len() => {
                 order.swap(*a, *b);
@@ -250,17 +219,9 @@ impl Channel {
             }
             _ => {}
         }
-        // One serialization buffer for the whole wave — the same
-        // zero-alloc discipline as the daemon's wire path — funneled
-        // through `transmit_wire` so batch and single-frame delivery
-        // cannot drift apart.
-        let mut wire = Vec::new();
         order
             .into_iter()
-            .map(|i| {
-                packages[i].serialize_into(&mut wire);
-                self.transmit_wire(&wire)
-            })
+            .map(|i| self.transmit(&frames[i]))
             .collect()
     }
 }
@@ -269,8 +230,11 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::config::EncryptionConfig;
+    use crate::delta::{DeltaPackage, InstalledImage};
     use crate::device::Device;
     use crate::source::SoftwareSource;
+    use eric_hde::HdeError;
+    use std::fmt::Debug;
 
     const PROGRAM: &str = "main:\n li a0, 7\n li a7, 93\n ecall\n";
 
@@ -284,6 +248,46 @@ mod tests {
         (device, pkg)
     }
 
+    /// Build a device, an installed base image (`PROGRAM` after
+    /// `prefix`, in `segment_len`-byte segments), and two delta frames
+    /// (fresh nonces) taking it to the version that exits with 9.
+    fn delta_setup_with(
+        prefix: &str,
+        segment_len: u32,
+    ) -> (Device, InstalledImage, [DeltaPackage; 2]) {
+        let cfg = EncryptionConfig::full().with_segments(segment_len);
+        let mut device = Device::with_seed(30, "node");
+        let cred = device.enroll();
+        let source = SoftwareSource::new("vendor");
+        let prepare = |program: &str| {
+            let image = source.compile(&format!("{prefix}{program}"), false);
+            source.prepare_image(&image.unwrap(), &cfg).unwrap()
+        };
+        let base = prepare(PROGRAM);
+        let next = prepare("main:\n li a0, 9\n li a7, 93\n ecall\n");
+        let full = source.package_prepared(&base, &cred).unwrap().0;
+        let installed = device.install(&full).unwrap();
+        let delta = source.prepare_delta(&base, &next).unwrap();
+        let frames = [(); 2].map(|()| source.package_delta(&delta, &cred).unwrap());
+        (device, installed, frames)
+    }
+
+    fn delta_setup() -> (Device, InstalledImage, DeltaPackage) {
+        let (device, installed, [delta, _]) = delta_setup_with("", 8);
+        (device, installed, delta)
+    }
+
+    /// Two distinct frames of each family: packages for two devices,
+    /// and two delta frames for one device.
+    fn pairs() -> ([Package; 2], [DeltaPackage; 2]) {
+        let (_, pkg) = setup();
+        let mut other_device = Device::with_seed(11, "other");
+        let other = SoftwareSource::new("vendor")
+            .build(PROGRAM, &other_device.enroll(), &EncryptionConfig::full())
+            .unwrap();
+        ([pkg, other], delta_setup_with("", 8).2)
+    }
+
     #[test]
     fn passive_channel_preserves_packages() {
         let (mut device, pkg) = setup();
@@ -293,28 +297,45 @@ mod tests {
     }
 
     #[test]
-    fn bit_flips_are_rejected_by_device_or_framing() {
-        let (mut device, pkg) = setup();
-        let wire_len = pkg.to_wire().len();
-        let mut rejected = 0usize;
-        let mut total = 0usize;
-        // Sweep a sample of positions across the whole wire image.
-        for byte in (0..wire_len).step_by(7) {
-            total += 1;
+    fn passive_channel_preserves_delta_frames() {
+        let (mut device, installed, delta) = delta_setup();
+        let received = Channel::trusted_free().transmit(&delta).unwrap();
+        assert_eq!(received, delta);
+        let patched = device.apply_delta(&installed, &received).unwrap();
+        assert_eq!(device.run_installed(&patched).unwrap().exit_code, 9);
+    }
+
+    /// Flip one bit in every `step`-th byte of `wire`: the framing or
+    /// the device (`accepts`) must refuse every one.
+    fn check_bit_flips<F: Frame>(wire: &[u8], step: usize, mut accepts: impl FnMut(&F) -> bool) {
+        for byte in (0..wire.len()).step_by(step) {
             let ch = Channel::with_attacker(Attacker::BitFlip {
                 byte,
                 bit: (byte % 8) as u8,
             });
-            match ch.transmit(&pkg) {
-                Err(_) => rejected += 1, // framing caught it
-                Ok(received) => {
-                    if device.install_and_run(&received).is_err() {
-                        rejected += 1; // HDE caught it
-                    }
-                }
+            if let Ok(received) = ch.transmit_wire::<F>(wire) {
+                assert!(
+                    !accepts(&received),
+                    "bit flip at byte {byte} went undetected"
+                );
             }
         }
-        assert_eq!(rejected, total, "some bit flips went undetected");
+    }
+
+    #[test]
+    fn bit_flips_are_rejected_by_device_or_framing() {
+        let (mut device, pkg) = setup();
+        check_bit_flips(&pkg.to_wire(), 7, |p: &Package| {
+            device.install_and_run(p).is_ok()
+        });
+    }
+
+    #[test]
+    fn delta_bit_flips_are_rejected_by_device_or_framing() {
+        let (device, installed, delta) = delta_setup();
+        check_bit_flips(&delta.to_wire(), 5, |d: &DeltaPackage| {
+            device.apply_delta(&installed, d).is_ok()
+        });
     }
 
     #[test]
@@ -356,28 +377,33 @@ mod tests {
 
     #[test]
     fn transmit_wire_matches_transmit_for_every_attacker() {
-        let (mut device, pkg) = setup();
-        let wire = pkg.to_wire();
-        let attackers = [
-            Attacker::Passive,
-            Attacker::BitFlip { byte: 61, bit: 3 },
-            Attacker::Truncate { keep: 40 },
-            Attacker::SubstitutePayload { filler: 0xAA },
-            Attacker::Duplicate { index: 0 },
-            Attacker::Reorder { a: 0, b: 1 },
-        ];
-        for attacker in attackers {
-            let ch = Channel::with_attacker(attacker.clone());
-            let via_package = ch.transmit(&pkg);
-            let via_wire = ch.transmit_wire(&wire);
-            match (via_package, via_wire) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "{attacker:?} diverged"),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("{attacker:?} diverged: {a:?} vs {b:?}"),
+        fn check<F: Frame + PartialEq + Debug>(frame: &F) {
+            let mut wire = Vec::new();
+            frame.serialize_into(&mut wire);
+            let attackers = [
+                Attacker::Passive,
+                Attacker::BitFlip { byte: 61, bit: 3 },
+                Attacker::Truncate { keep: 40 },
+                Attacker::SubstitutePayload { filler: 0xAA },
+                Attacker::Duplicate { index: 0 },
+                Attacker::Reorder { a: 0, b: 1 },
+            ];
+            for attacker in attackers {
+                let ch = Channel::with_attacker(attacker.clone());
+                match (ch.transmit(frame), ch.transmit_wire::<F>(&wire)) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{attacker:?} diverged"),
+                    (Err(_), Err(_)) => {}
+                    (a, b) => panic!("{attacker:?} diverged: {a:?} vs {b:?}"),
+                }
             }
         }
+        let (mut device, pkg) = setup();
+        check(&pkg);
+        check(&delta_setup().2);
         // And the passive wire path round-trips onto the device.
-        let received = Channel::trusted_free().transmit_wire(&wire).unwrap();
+        let received = Channel::trusted_free()
+            .transmit_wire(&pkg.to_wire())
+            .unwrap();
         assert_eq!(device.install_and_run(&received).unwrap().exit_code, 7);
     }
 
@@ -404,14 +430,12 @@ mod tests {
         }
     }
 
-    /// Truncating below the fixed header — even to zero bytes — is a
-    /// clean `truncated at …` parse error, never a panic or overread.
-    #[test]
-    fn truncate_below_header_is_a_clear_parse_error() {
-        let (_, pkg) = setup();
-        for keep in [0usize, 1, 4, 5, 16] {
+    /// Cut `wire` to each of `keeps` bytes: every cut must be a clean
+    /// `truncated at …` parse error, never a panic or overread.
+    fn check_truncation<F: Frame + Debug>(wire: &[u8], keeps: &[usize]) {
+        for &keep in keeps {
             let ch = Channel::with_attacker(Attacker::Truncate { keep });
-            match ch.transmit(&pkg) {
+            match ch.transmit_wire::<F>(wire) {
                 Err(EricError::Package(msg)) => assert!(
                     msg.contains("truncated at"),
                     "keep = {keep}: expected a truncation diagnostic, got {msg:?}"
@@ -421,46 +445,58 @@ mod tests {
         }
     }
 
+    /// Truncating below the fixed header — even to zero bytes — is a
+    /// clean parse error.
+    #[test]
+    fn truncate_below_header_is_a_clear_parse_error() {
+        check_truncation::<Package>(&setup().1.to_wire(), &[0, 1, 4, 5, 16]);
+    }
+
+    /// So is cutting a delta frame anywhere, even one byte short.
+    #[test]
+    fn delta_truncation_is_a_clear_parse_error() {
+        let wire = delta_setup().2.to_wire();
+        check_truncation::<DeltaPackage>(&wire, &[0, 1, 6, 40, wire.len() - 1]);
+    }
+
     /// `Duplicate` replays one frame: the batch grows by a delivery
     /// and both copies parse identically (the parse is idempotent).
     #[test]
     fn duplicate_replays_one_delivery_slot() {
-        let (_, pkg) = setup();
-        let mut other_device = Device::with_seed(11, "other");
-        let other = SoftwareSource::new("vendor")
-            .build(PROGRAM, &other_device.enroll(), &EncryptionConfig::full())
-            .unwrap();
-        let batch = [pkg.clone(), other];
-        let ch = Channel::with_attacker(Attacker::Duplicate { index: 0 });
-        let delivered = ch.transmit_batch(&batch);
-        assert_eq!(delivered.len(), 3, "replay must add a delivery");
-        assert_eq!(*delivered[0].as_ref().unwrap(), batch[0]);
-        assert_eq!(*delivered[1].as_ref().unwrap(), batch[1]);
-        assert_eq!(*delivered[2].as_ref().unwrap(), batch[0], "replayed copy");
-        // Out-of-range replay target: passive.
-        let ch = Channel::with_attacker(Attacker::Duplicate { index: 9 });
-        assert_eq!(ch.transmit_batch(&batch).len(), 2);
+        fn check<F: Frame + PartialEq + Debug>(batch: &[F; 2]) {
+            let ch = Channel::with_attacker(Attacker::Duplicate { index: 0 });
+            let delivered = ch.transmit_batch(batch);
+            assert_eq!(delivered.len(), 3, "replay must add a delivery");
+            assert_eq!(*delivered[0].as_ref().unwrap(), batch[0]);
+            assert_eq!(*delivered[1].as_ref().unwrap(), batch[1]);
+            assert_eq!(*delivered[2].as_ref().unwrap(), batch[0], "replayed copy");
+            // Out-of-range replay target: passive.
+            let ch = Channel::with_attacker(Attacker::Duplicate { index: 9 });
+            assert_eq!(ch.transmit_batch(batch).len(), 2);
+        }
+        let (full, delta) = pairs();
+        check(&full);
+        check(&delta);
     }
 
     /// `Reorder` swaps delivery order without touching bytes; both
     /// frames still arrive intact.
     #[test]
     fn reorder_swaps_delivery_order_intact() {
-        let (_, pkg) = setup();
-        let mut other_device = Device::with_seed(12, "other");
-        let other = SoftwareSource::new("vendor")
-            .build(PROGRAM, &other_device.enroll(), &EncryptionConfig::full())
-            .unwrap();
-        let batch = [pkg, other];
-        let ch = Channel::with_attacker(Attacker::Reorder { a: 0, b: 1 });
-        let delivered = ch.transmit_batch(&batch);
-        assert_eq!(delivered.len(), 2);
-        assert_eq!(*delivered[0].as_ref().unwrap(), batch[1]);
-        assert_eq!(*delivered[1].as_ref().unwrap(), batch[0]);
-        // Out-of-range positions: passive order.
-        let ch = Channel::with_attacker(Attacker::Reorder { a: 0, b: 7 });
-        let delivered = ch.transmit_batch(&batch);
-        assert_eq!(*delivered[0].as_ref().unwrap(), batch[0]);
+        fn check<F: Frame + PartialEq + Debug>(batch: &[F; 2]) {
+            let ch = Channel::with_attacker(Attacker::Reorder { a: 0, b: 1 });
+            let delivered = ch.transmit_batch(batch);
+            assert_eq!(delivered.len(), 2);
+            assert_eq!(*delivered[0].as_ref().unwrap(), batch[1]);
+            assert_eq!(*delivered[1].as_ref().unwrap(), batch[0]);
+            // Out-of-range positions: passive order.
+            let ch = Channel::with_attacker(Attacker::Reorder { a: 0, b: 7 });
+            let delivered = ch.transmit_batch(batch);
+            assert_eq!(*delivered[0].as_ref().unwrap(), batch[0]);
+        }
+        let (full, delta) = pairs();
+        check(&full);
+        check(&delta);
     }
 
     #[test]
@@ -471,6 +507,26 @@ mod tests {
         assert!(matches!(
             device.install_and_run(&received),
             Err(EricError::Rejected(_))
+        ));
+    }
+
+    /// A delta declares the whole target image's payload length, which
+    /// here is far longer than the frame: the filler must still land on
+    /// the shipped segments only, so the frame parses and the HDE
+    /// refuses the substituted segment.
+    #[test]
+    fn delta_payload_substitution_rejected() {
+        // 64 KiB of data in 4 KiB segments with one instruction
+        // changed: a ~4.3 KB frame for a ~64 KiB image.
+        let data = ".data\nblob: .zero 65536\n.text\n";
+        let (device, installed, [delta, _]) = delta_setup_with(data, 4096);
+        assert!(delta.wire_len() < delta.payload_len as usize);
+        let ch = Channel::with_attacker(Attacker::SubstitutePayload { filler: 0x5A });
+        let received = ch.transmit(&delta).expect("substitution keeps the framing");
+        assert!(received.segments.iter().all(|&b| b == 0x5A));
+        assert!(matches!(
+            device.apply_delta(&installed, &received),
+            Err(EricError::Rejected(HdeError::SegmentMismatch { .. }))
         ));
     }
 
@@ -486,88 +542,5 @@ mod tests {
             !wire.windows(image.text.len()).any(|w| w == &image.text[..]),
             "plaintext visible on the wire"
         );
-    }
-
-    /// Build a device, an installed base image, and a delta frame
-    /// taking it to a second program version.
-    fn delta_setup() -> (Device, crate::delta::InstalledImage, crate::DeltaPackage) {
-        let cfg = EncryptionConfig::full().with_segments(8);
-        let mut device = Device::with_seed(30, "node");
-        let cred = device.enroll();
-        let source = SoftwareSource::new("vendor");
-        let base = source
-            .prepare_image(&source.compile(PROGRAM, false).unwrap(), &cfg)
-            .unwrap();
-        let next_img = source
-            .compile("main:\n li a0, 9\n li a7, 93\n ecall\n", false)
-            .unwrap();
-        let next = source.prepare_image(&next_img, &cfg).unwrap();
-        let full = source.package_prepared(&base, &cred).unwrap().0;
-        let installed = device.install(&full).unwrap();
-        let delta = source
-            .package_delta(&source.prepare_delta(&base, &next).unwrap(), &cred)
-            .unwrap();
-        (device, installed, delta)
-    }
-
-    #[test]
-    fn passive_channel_preserves_delta_frames() {
-        let (mut device, installed, delta) = delta_setup();
-        let received = Channel::trusted_free().transmit_delta(&delta).unwrap();
-        assert_eq!(received, delta);
-        let patched = device.apply_delta(&installed, &received).unwrap();
-        assert_eq!(device.run_installed(&patched).unwrap().exit_code, 9);
-    }
-
-    #[test]
-    fn delta_bit_flips_are_rejected_by_device_or_framing() {
-        let (device, installed, delta) = delta_setup();
-        let wire = delta.to_wire();
-        let mut rejected = 0usize;
-        let mut total = 0usize;
-        for byte in (0..wire.len()).step_by(5) {
-            total += 1;
-            let ch = Channel::with_attacker(Attacker::BitFlip {
-                byte,
-                bit: (byte % 8) as u8,
-            });
-            match ch.transmit_delta_wire(&wire) {
-                Err(_) => rejected += 1, // framing caught it
-                Ok(received) => {
-                    if device.apply_delta(&installed, &received).is_err() {
-                        rejected += 1; // HDE caught it
-                    }
-                }
-            }
-        }
-        assert_eq!(rejected, total, "some delta bit flips went undetected");
-    }
-
-    #[test]
-    fn delta_truncation_is_a_clear_parse_error() {
-        let (_, _, delta) = delta_setup();
-        let wire = delta.to_wire();
-        for keep in [0usize, 1, 6, 40, wire.len() - 1] {
-            let ch = Channel::with_attacker(Attacker::Truncate { keep });
-            match ch.transmit_delta_wire(&wire) {
-                Err(EricError::Package(msg)) => assert!(
-                    msg.contains("truncated at"),
-                    "keep = {keep}: expected a truncation diagnostic, got {msg:?}"
-                ),
-                other => panic!("keep = {keep}: expected a parse error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn delta_payload_substitution_rejected() {
-        let (device, installed, delta) = delta_setup();
-        let ch = Channel::with_attacker(Attacker::SubstitutePayload { filler: 0x5A });
-        // The filler smears everything after the delta header — the
-        // receiver must reject at parse or at apply, never accept.
-        match ch.transmit_delta(&delta) {
-            Err(_) => {}
-            Ok(received) => assert!(device.apply_delta(&installed, &received).is_err()),
-        }
     }
 }

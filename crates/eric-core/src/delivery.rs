@@ -28,8 +28,11 @@
 //!   20%-fault-rate soak over a thousand devices still runs in
 //!   milliseconds and two runs of the same seed agree exactly.
 //!
+//! The attempt loop and the lossy hop are written once over [`Frame`],
+//! so a full [`Package`] and an `ERIC2D` [`DeltaPackage`] share a path.
+//!
 //! Every delivery ends in exactly one terminal [`DeliveryStatus`]:
-//! `Delivered` (the parsed package, which callers verify through the
+//! `Delivered` (the parsed frame, which callers verify through the
 //! `SecureLoader` byte-for-byte), `Exhausted` (the retry budget or
 //! deadline ran out; the last retryable error rides along), or `Fatal`
 //! (a non-retryable error, reported after exactly one occurrence).
@@ -39,7 +42,7 @@
 //! ```
 //! use eric_core::{
 //!     Channel, DeliveryPolicy, DeliveryStatus, Device, EncryptionConfig, FaultPlan,
-//!     LossyChannel, ResilientDelivery, SoftwareSource,
+//!     LossyChannel, Package, ResilientDelivery, SoftwareSource,
 //! };
 //!
 //! let mut device = Device::with_seed(9, "node");
@@ -56,7 +59,7 @@
 //!     LossyChannel::new(Channel::trusted_free(), FaultPlan::uniform(7, 0.10)),
 //!     DeliveryPolicy::default(),
 //! );
-//! let report = delivery.deliver(0, &wire);
+//! let report = delivery.deliver_verified(0, &wire, |_: &Package| Ok(()));
 //! match &report.status {
 //!     DeliveryStatus::Delivered(received) => {
 //!         // Byte-identical delivery, verified end to end.
@@ -70,7 +73,7 @@
 use crate::channel::Channel;
 use crate::delta::DeltaPackage;
 use crate::error::{EricError, FaultClass, TransportFault};
-use crate::package::Package;
+use crate::package::{Frame, Package};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -240,42 +243,23 @@ impl LossyChannel {
 
     /// Transmit one attempt of `wire` identified by `key`.
     ///
-    /// Returns the parsed package (or why it failed) plus the transit
+    /// Returns the parsed frame (or why it failed) plus the transit
     /// events that occurred. A dropped frame reports
     /// [`EricError::Transport`]; damaged frames report whatever the
-    /// framing parser says — both classify as retryable.
-    pub fn transmit_attempt(
+    /// framing parser says — both classify as retryable. The channel
+    /// damages and parses the attempt's own copy: one copy per attempt.
+    pub(crate) fn transmit_attempt<F: Frame>(
         &self,
         key: u64,
         attempt: u32,
         wire: &[u8],
-    ) -> (Result<Package, EricError>, TransitEvents) {
+    ) -> (Result<F, EricError>, TransitEvents) {
         let mut frame = wire.to_vec();
         let events = self.plan.events(key, attempt, &mut frame);
         if events.dropped {
             return (Err(EricError::Transport(TransportFault::Dropped)), events);
         }
-        (self.channel.transmit_wire(&frame), events)
-    }
-
-    /// Transmit one attempt of an `ERIC2D` delta frame identified by
-    /// `key` — [`LossyChannel::transmit_attempt`] for delta updates.
-    ///
-    /// Identical fault model and composition order; the receiver's
-    /// parse is [`DeltaPackage::from_wire`] instead of the full-frame
-    /// parser.
-    pub fn transmit_delta_attempt(
-        &self,
-        key: u64,
-        attempt: u32,
-        wire: &[u8],
-    ) -> (Result<DeltaPackage, EricError>, TransitEvents) {
-        let mut frame = wire.to_vec();
-        let events = self.plan.events(key, attempt, &mut frame);
-        if events.dropped {
-            return (Err(EricError::Transport(TransportFault::Dropped)), events);
-        }
-        (self.channel.transmit_delta_wire(&frame), events)
+        (self.channel.receive(frame), events)
     }
 }
 
@@ -461,77 +445,27 @@ impl ResilientDelivery {
         &self.channel
     }
 
-    /// Deliver `wire`, retrying retryable faults within the policy's
-    /// budget. Equivalent to [`ResilientDelivery::deliver_verified`]
-    /// with a verifier that accepts every parsed package.
-    pub fn deliver(&self, key: u64, wire: &[u8]) -> DeliveryReport {
-        self.deliver_verified(key, wire, |_| Ok(()))
-    }
-
-    /// Deliver `wire`, additionally running `verify` on every parsed
-    /// package before declaring success.
+    /// Deliver `wire` as an `F` (a full [`Package`] or an `ERIC2D`
+    /// [`DeltaPackage`]), retrying retryable faults within the policy's
+    /// budget and running `verify` on every parsed frame before
+    /// declaring success.
     ///
     /// `verify` is the receiver's acceptance check (typically
-    /// `SecureLoader` validation via `Device::install_and_run`, or a
-    /// byte-identity check against the sent frame). Its error is
+    /// `SecureLoader` validation via `Device::install_and_run` or
+    /// [`Device::apply_delta`](crate::Device::apply_delta), a
+    /// byte-identity check against the sent frame, or `|_: &Package|
+    /// Ok(())` to accept any frame that parses). Its error is
     /// classified exactly like a transmission error: a retryable
     /// verification failure (HDE rejection of a corrupted-but-parseable
     /// frame) is retried; a fatal one (stale epoch) terminates
-    /// delivery immediately.
-    pub fn deliver_verified(
+    /// delivery immediately, so an interrupted delta push retries
+    /// instead of leaving a device half-patched.
+    pub fn deliver_verified<F: Frame>(
         &self,
         key: u64,
         wire: &[u8],
-        verify: impl FnMut(&Package) -> Result<(), EricError>,
-    ) -> DeliveryReport {
-        self.drive(
-            key,
-            wire,
-            |attempt| self.channel.transmit_attempt(key, attempt, wire),
-            verify,
-        )
-    }
-
-    /// Deliver an `ERIC2D` delta frame, retrying retryable faults
-    /// within the policy's budget. Equivalent to
-    /// [`ResilientDelivery::deliver_delta_verified`] with a verifier
-    /// that accepts every parsed frame.
-    pub fn deliver_delta(&self, key: u64, wire: &[u8]) -> DeliveryReport<DeltaPackage> {
-        self.deliver_delta_verified(key, wire, |_| Ok(()))
-    }
-
-    /// Deliver an `ERIC2D` delta frame, additionally running `verify`
-    /// on every parsed frame before declaring success.
-    ///
-    /// The natural verifier is the device's
-    /// [`apply_delta`](crate::Device::apply_delta): a corrupted but
-    /// parseable delta is rejected there (retryable), a stale epoch
-    /// terminates delivery immediately — the same taxonomy as
-    /// full-image delivery, so interrupted delta pushes retry instead
-    /// of leaving a device half-patched.
-    pub fn deliver_delta_verified(
-        &self,
-        key: u64,
-        wire: &[u8],
-        verify: impl FnMut(&DeltaPackage) -> Result<(), EricError>,
-    ) -> DeliveryReport<DeltaPackage> {
-        self.drive(
-            key,
-            wire,
-            |attempt| self.channel.transmit_delta_attempt(key, attempt, wire),
-            verify,
-        )
-    }
-
-    /// The attempt loop shared by full-image and delta delivery:
-    /// transmit, classify, back off, repeat until a terminal status.
-    fn drive<T>(
-        &self,
-        key: u64,
-        wire: &[u8],
-        mut transmit: impl FnMut(u32) -> (Result<T, EricError>, TransitEvents),
-        mut verify: impl FnMut(&T) -> Result<(), EricError>,
-    ) -> DeliveryReport<T> {
+        mut verify: impl FnMut(&F) -> Result<(), EricError>,
+    ) -> DeliveryReport<F> {
         let seed = self.channel.plan().seed;
         let mut report = DeliveryReport {
             key,
@@ -552,18 +486,18 @@ impl ResilientDelivery {
         for attempt in 1..=max_attempts {
             report.attempts = attempt;
             report.retries = attempt - 1;
-            let (result, events) = transmit(attempt);
+            let (result, events) = self.channel.transmit_attempt(key, attempt, wire);
             report.transit += events.latency;
             report.wire_bytes += wire.len() as u64 * if events.duplicated { 2 } else { 1 };
             report.dropped += u32::from(events.dropped);
             report.corrupted += u32::from(events.bit_flipped || events.truncated);
             report.duplicated += u32::from(events.duplicated);
-            let error = match result.and_then(|package| {
-                verify(&package)?;
-                Ok(package)
+            let error = match result.and_then(|frame| {
+                verify(&frame)?;
+                Ok(frame)
             }) {
-                Ok(package) => {
-                    report.status = DeliveryStatus::Delivered(package);
+                Ok(frame) => {
+                    report.status = DeliveryStatus::Delivered(frame);
                     return report;
                 }
                 Err(e) => e,
@@ -591,6 +525,18 @@ impl ResilientDelivery {
             }
         }
         unreachable!("every attempt path returns a terminal status");
+    }
+
+    /// [`ResilientDelivery::deliver_verified`] over an `ERIC2D`
+    /// [`DeltaPackage`]. It stays under its own name because the
+    /// `perfbench` `ota` workload calls it by that name.
+    pub fn deliver_delta_verified(
+        &self,
+        key: u64,
+        wire: &[u8],
+        verify: impl FnMut(&DeltaPackage) -> Result<(), EricError>,
+    ) -> DeliveryReport<DeltaPackage> {
+        self.deliver_verified(key, wire, verify)
     }
 }
 
@@ -655,7 +601,7 @@ mod tests {
             ..FaultPlan::uniform(1, 0.0)
         };
         let channel = LossyChannel::with_plan(plan);
-        let (result, events) = channel.transmit_attempt(0, 1, &[1, 2, 3]);
+        let (result, events) = channel.transmit_attempt::<Package>(0, 1, &[1, 2, 3]);
         assert!(events.dropped);
         let err = result.unwrap_err();
         assert!(matches!(err, EricError::Transport(TransportFault::Dropped)));
@@ -694,7 +640,7 @@ mod tests {
             LossyChannel::with_plan(FaultPlan::none()),
             DeliveryPolicy::default(),
         );
-        let report = delivery.deliver(9, &wire);
+        let report = delivery.deliver_verified(9, &wire, |_: &Package| Ok(()));
         assert_eq!(report.attempts, 1);
         assert_eq!(report.retries, 0);
         assert_eq!(report.wire_bytes, wire.len() as u64);
@@ -713,7 +659,7 @@ mod tests {
         };
         let delivery =
             ResilientDelivery::new(LossyChannel::with_plan(plan), DeliveryPolicy::default());
-        let report = delivery.deliver(4, &[0u8; 64]);
+        let report = delivery.deliver_verified(4, &[0u8; 64], |_: &Package| Ok(()));
         assert_eq!(report.attempts, 5);
         assert_eq!(report.dropped, 5);
         let DeliveryStatus::Exhausted { reason, last_error } = &report.status else {
@@ -736,7 +682,7 @@ mod tests {
             ..DeliveryPolicy::default()
         };
         let delivery = ResilientDelivery::new(LossyChannel::with_plan(plan), policy);
-        let report = delivery.deliver(4, &[0u8; 64]);
+        let report = delivery.deliver_verified(4, &[0u8; 64], |_: &Package| Ok(()));
         assert!(report.attempts < 1000, "deadline never fired");
         assert!(matches!(
             report.status,
@@ -757,7 +703,7 @@ mod tests {
             DeliveryPolicy::default(),
         );
         let mut calls = 0u32;
-        let report = delivery.deliver_verified(0, &wire, |_| {
+        let report = delivery.deliver_verified(0, &wire, |_: &Package| {
             calls += 1;
             Err(EricError::Config("stale epoch".into()))
         });
@@ -778,7 +724,7 @@ mod tests {
             DeliveryPolicy::default(),
         );
         let mut calls = 0u32;
-        let report = delivery.deliver_verified(0, &wire, |_| {
+        let report = delivery.deliver_verified(0, &wire, |_: &Package| {
             calls += 1;
             if calls < 3 {
                 Err(EricError::Package("transient".into()))
@@ -801,7 +747,11 @@ mod tests {
             Channel::with_attacker(Attacker::Truncate { keep: 3 }),
             FaultPlan::none(),
         );
-        let report = ResilientDelivery::new(channel, DeliveryPolicy::default()).deliver(0, &wire);
+        let report = ResilientDelivery::new(channel, DeliveryPolicy::default()).deliver_verified(
+            0,
+            &wire,
+            |_: &Package| Ok(()),
+        );
         assert_eq!(report.attempts, 5);
         assert!(matches!(
             report.status,
@@ -866,7 +816,7 @@ mod tests {
         );
         // A garbage frame parses to a retryable Package error on every
         // attempt; the budget exhausts rather than misreporting fatal.
-        let report = delivery.deliver_delta(0, &[0u8; 16]);
+        let report = delivery.deliver_verified(0, &[0u8; 16], |_: &DeltaPackage| Ok(()));
         assert!(matches!(
             report.status,
             DeliveryStatus::Exhausted {
@@ -884,7 +834,7 @@ mod tests {
         };
         let delivery =
             ResilientDelivery::new(LossyChannel::with_plan(plan), DeliveryPolicy::fail_fast());
-        let report = delivery.deliver(0, &[0u8; 8]);
+        let report = delivery.deliver_verified(0, &[0u8; 8], |_: &Package| Ok(()));
         assert_eq!(report.attempts, 1);
         assert!(matches!(
             report.status,

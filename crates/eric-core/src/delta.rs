@@ -56,7 +56,7 @@
 //! partially-patched state to observe, on any error path.
 
 use crate::error::EricError;
-use crate::package::framing;
+use crate::package::{framing, Frame};
 use crate::source::{PreparedImage, SignaturePlan, SoftwareSource};
 use crate::PackagedFrame;
 use eric_crypto::cipher::{CipherKind, KeystreamCipher};
@@ -82,12 +82,6 @@ pub(crate) const DELTA_MAGIC: &[u8; 6] = b"ERIC2D";
 pub(crate) const DELTA_HEADER_FIXED_LEN: usize =
     6 + 1 + 1 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 2;
 
-/// Byte offset of the target-image `payload_len` field inside the
-/// fixed delta header (mirrors
-/// [`PAYLOAD_LEN_OFFSET`](eric_hde::wire::PAYLOAD_LEN_OFFSET) for full
-/// frames; the channel's payload-substitution attacker reads it).
-pub(crate) const DELTA_PAYLOAD_LEN_OFFSET: usize = 6 + 1 + 1 + 8 * 5 + 4;
-
 /// Keystream position of the encrypted base fingerprint: the first
 /// position past where a full frame's manifest would end, so payload,
 /// root, leaves, and base digest all draw disjoint ranges.
@@ -105,7 +99,7 @@ fn changed_payload_bytes(changed: &[u32], payload_len: usize, segment_len: usize
 
 /// The `ERIC2D` header through the coverage map block — byte for byte
 /// the delta frame's AAD. [`DeltaPackage::aad`],
-/// [`DeltaPackage::serialize_into`] and the zero-copy packager
+/// its [`Frame::serialize_into`] and the zero-copy packager
 /// ([`SoftwareSource::package_delta_into`]) all write it through here;
 /// the fields it shares with a full frame go through the full frame's
 /// [`FrameHeader`].
@@ -344,38 +338,6 @@ impl DeltaPackage {
         buf
     }
 
-    /// Serialize into a reusable transmit buffer (cleared first; same
-    /// contract as [`crate::Package::serialize_into`]).
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(self.wire_len());
-        self.header().write(out);
-        out.extend_from_slice(&self.encrypted_root);
-        for leaf in &self.changed_leaves {
-            out.extend_from_slice(leaf);
-        }
-        out.extend_from_slice(&self.segments);
-        debug_assert_eq!(out.len(), self.wire_len());
-    }
-
-    /// Deserialize an `ERIC2D` frame.
-    ///
-    /// Structural validation happens here, in wire order, through the
-    /// field and coverage-map readers of the one frame parser
-    /// ([`FrameReader`]), which [`crate::Package::from_wire`] shares:
-    /// geometry claims are checked before anything is read under them,
-    /// and every buffer grows only with the bytes actually present.
-    ///
-    /// # Errors
-    ///
-    /// [`EricError::Package`] naming the offending field for bad
-    /// magic, unknown identifiers, bad geometry, a non-canonical
-    /// coverage map, a non-ascending or out-of-range index table, or
-    /// truncation.
-    pub fn from_wire(wire: &[u8]) -> Result<DeltaPackage, EricError> {
-        Self::read(&mut FrameReader::new(wire)).map_err(framing)
-    }
-
     fn read(wire: &mut FrameReader<&[u8]>) -> Result<DeltaPackage, HdeError> {
         let err = |m: &str| HdeError::Malformed(m.to_string());
         if &wire.array::<6>("magic")? != DELTA_MAGIC {
@@ -437,6 +399,45 @@ impl DeltaPackage {
             changed_leaves,
             segments,
         })
+    }
+}
+
+impl Frame for DeltaPackage {
+    /// Deserialize an `ERIC2D` frame.
+    ///
+    /// Structural validation happens here, in wire order, through the
+    /// field and coverage-map readers of the one frame parser
+    /// ([`FrameReader`]), which [`crate::Package::from_wire`] shares:
+    /// geometry claims are checked before anything is read under them,
+    /// and every buffer grows only with the bytes actually present.
+    ///
+    /// # Errors
+    ///
+    /// [`EricError::Package`] naming the offending field for bad
+    /// magic, unknown identifiers, bad geometry, a non-canonical
+    /// coverage map, a non-ascending or out-of-range index table, or
+    /// truncation.
+    fn from_wire(wire: &[u8]) -> Result<DeltaPackage, EricError> {
+        Self::read(&mut FrameReader::new(wire)).map_err(framing)
+    }
+
+    /// Serialize into a reusable transmit buffer (cleared first; same
+    /// contract as [`crate::Package::serialize_into`]).
+    fn serialize_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(self.wire_len());
+        self.header().write(out);
+        out.extend_from_slice(&self.encrypted_root);
+        for leaf in &self.changed_leaves {
+            out.extend_from_slice(leaf);
+        }
+        out.extend_from_slice(&self.segments);
+        debug_assert_eq!(out.len(), self.wire_len());
+    }
+
+    /// The changed-segment ciphertext, which ends the frame.
+    fn payload(&self) -> &[u8] {
+        &self.segments
     }
 }
 

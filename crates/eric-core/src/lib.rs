@@ -9,7 +9,8 @@
 //!   paper ships a GUI; ERIC-in-Rust ships a typed builder).
 //! * [`package`] — the encrypted program package wire format, with the
 //!   exact size accounting of Figure 5 (256-bit signature, 1 map bit
-//!   per 16-bit parcel for partial encryption, none for full).
+//!   per 16-bit parcel for partial encryption, none for full), and the
+//!   [`Frame`] trait the transport layers carry packages and deltas by.
 //! * [`source`] — the software source: compile → sign → encrypt →
 //!   package (paper steps 2–3).
 //! * [`provisioning`] — batch enrollment and package fan-out: compile
@@ -19,14 +20,15 @@
 //!   enrollment, secure installation, and execution (steps 1, 5, 6).
 //! * [`channel`] — the untrusted transport between them (step 4), with
 //!   the threat model's attacker actions (tampering, replay to the
-//!   wrong device, payload substitution).
+//!   wrong device, payload substitution), for any [`Frame`].
 //! * [`delta`] — segment-granular delta OTA updates on top of the v2
 //!   manifest: diff prepared images by leaf table, ship only changed
 //!   segments (`ERIC2D`), patch and re-verify on device.
-//! * [`delivery`] — resilient delivery over that transport: seeded
-//!   stochastic fault injection ([`FaultPlan`]), bounded retry with
-//!   backoff ([`DeliveryPolicy`]), and the retryable/fatal error
-//!   taxonomy ([`FaultClass`]) that keeps retries honest.
+//! * [`delivery`] — resilient delivery over that transport, for full
+//!   and delta frames alike: seeded stochastic fault injection
+//!   ([`FaultPlan`]), bounded retry with backoff ([`DeliveryPolicy`]),
+//!   and the retryable/fatal error taxonomy ([`FaultClass`]) that keeps
+//!   retries honest.
 //! * [`analysis`] — static-analysis resistance metrics (entropy,
 //!   disassembly validity, opcode histograms) quantifying the
 //!   obfuscation claim of §I.
@@ -77,7 +79,7 @@ pub use delivery::{
 pub use delta::{DeltaPackage, InstalledImage, PreparedDelta};
 pub use device::{Device, ExecutionReport};
 pub use error::{EricError, FaultClass, TransportFault};
-pub use package::{Package, SizeReport};
+pub use package::{Frame, Package, SizeReport};
 pub use provisioning::{
     BatchHandle, BufferPool, CacheLookup, CacheStats, DaemonHealth, PackagingHook,
     PreparedImageCache, ProvisioningDaemon, RecvTimeout, ShardQueue, SubmitError, WireFrame,

@@ -52,6 +52,43 @@ pub(crate) fn framing(e: HdeError) -> EricError {
     }
 }
 
+/// A wire frame the delivery layers carry: a full `ERIC1`/`ERIC2`
+/// [`Package`] or an `ERIC2D` [`DeltaPackage`](crate::DeltaPackage).
+///
+/// [`Channel`](crate::Channel), [`LossyChannel`](crate::LossyChannel)
+/// and [`ResilientDelivery`](crate::ResilientDelivery) are written once
+/// over this trait, so the full and delta paths cannot drift apart.
+pub trait Frame: Sized {
+    /// Deserialize from wire bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`EricError::Package`] naming the field the parser refused.
+    fn from_wire(wire: &[u8]) -> Result<Self, EricError>;
+
+    /// Serialize into a reusable transmit buffer (cleared first).
+    fn serialize_into(&self, out: &mut Vec<u8>);
+
+    /// The ciphertext at the tail of the wire frame: what a payload
+    /// substitution overwrites.
+    fn payload(&self) -> &[u8];
+}
+
+// The inherent methods stay: callers that never import `Frame` use them.
+impl Frame for Package {
+    fn from_wire(wire: &[u8]) -> Result<Self, EricError> {
+        Package::from_wire(wire)
+    }
+
+    fn serialize_into(&self, out: &mut Vec<u8>) {
+        Package::serialize_into(self, out);
+    }
+
+    fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+}
+
 /// An encrypted, signed program package.
 #[derive(Clone, PartialEq)]
 pub struct Package {

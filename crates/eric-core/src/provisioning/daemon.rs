@@ -238,7 +238,7 @@ pub struct WireFrame {
     /// The full wire frame, parseable by
     /// [`Package::from_wire`](crate::Package::from_wire) — or, for a
     /// [`ProvisioningDaemon::submit_delta`] batch, by
-    /// [`DeltaPackage::from_wire`](crate::DeltaPackage::from_wire).
+    /// [`DeltaPackage::from_wire`](crate::Frame::from_wire).
     pub bytes: Vec<u8>,
 }
 
@@ -656,7 +656,7 @@ impl ProvisioningDaemon {
     /// images, so there is no cache lookup; the batch rides the same
     /// shards, buffer pool, backpressure, and panic containment as a
     /// full-image wave. Each delivered [`WireFrame`] parses with
-    /// [`DeltaPackage::from_wire`](crate::DeltaPackage::from_wire).
+    /// [`DeltaPackage::from_wire`](crate::Frame::from_wire).
     ///
     /// # Errors
     ///
@@ -979,7 +979,7 @@ fn worker_loop(shared: &DaemonShared, worker: usize) {
 mod tests {
     use super::*;
     use crate::device::Device;
-    use crate::package::Package;
+    use crate::package::{Frame, Package};
 
     const PROGRAM: &str = "main:\n li a0, 41\n addi a0, a0, 1\n li a7, 93\n ecall\n";
 

@@ -40,10 +40,6 @@ pub const MAGIC_V2: &[u8; 5] = b"ERIC2";
 /// text_len + payload_len + challenge_len (the challenge follows).
 pub const HEADER_FIXED_LEN: usize = 5 + 1 + 1 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 2;
 
-/// Byte offset of the `payload_len` field inside a full frame's fixed
-/// header (everything before it is fixed-width).
-pub const PAYLOAD_LEN_OFFSET: usize = 5 + 1 + 1 + 8 * 5 + 4;
-
 /// The cleartext fields every frame opens with: the magic, then the
 /// fields a full frame and an `ERIC2D` delta frame share. They start
 /// the frame's additional authenticated data.

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example fleet_provisioning`
 
 use eric::core::{
-    DeliveryPolicy, DeltaPackage, Device, EncryptionConfig, FaultPlan, InstalledImage,
+    DeliveryPolicy, DeltaPackage, Device, EncryptionConfig, FaultPlan, Frame, InstalledImage,
     LossyChannel, Package, ProvisioningDaemon, ResilientDelivery, SoftwareSource, SubmitError,
 };
 use eric::puf::crp::CrpDatabase;

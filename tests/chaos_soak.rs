@@ -185,7 +185,7 @@ fn zero_fault_rate_matches_the_passive_path_byte_for_byte() {
     );
     let passive = eric::core::Channel::trusted_free();
     for (i, frame) in frames.iter().enumerate() {
-        let report = delivery.deliver(i as u64, &frame.bytes);
+        let report = delivery.deliver_verified(i as u64, &frame.bytes, |_: &Package| Ok(()));
         assert_eq!(report.attempts, 1);
         assert_eq!(report.retries, 0);
         assert_eq!(report.transit, Duration::ZERO);

@@ -18,7 +18,7 @@
 //! mutated frame must be refused by `DeltaPackage::from_wire` or
 //! `Device::apply_delta`, with the installed base untouched.
 
-use eric::core::{DeltaPackage, Device, EncryptionConfig, Package, SoftwareSource};
+use eric::core::{DeltaPackage, Device, EncryptionConfig, Frame, Package, SoftwareSource};
 use eric::hde::loader::{SecureInput, SecureLoader};
 use eric::hde::policy::FieldPolicy;
 use eric::hde::streaming::StreamingLoader;

@@ -13,7 +13,7 @@
 //! `ERIC_UPDATE_GOLDENS=1 cargo test --test ota_delta`.
 
 use eric::core::{
-    Device, EncryptionConfig, EricError, InstalledImage, PreparedImage, SoftwareSource,
+    Device, EncryptionConfig, EricError, Frame, InstalledImage, PreparedImage, SoftwareSource,
 };
 use eric::crypto::sha256::sha256;
 

@@ -8,13 +8,21 @@
 //! recycling pool) must perform **zero** payload-sized allocations
 //! once warm.
 //!
+//! Delivering a frame over the lossy channel must copy it once per
+//! attempt: the attempt's own copy is the buffer the channel damages
+//! and parses, so a clean delivery makes two payload-sized
+//! allocations, that copy and the parsed payload.
+//!
 //! A counting `#[global_allocator]` wraps `System` and, while armed,
 //! counts every allocation/reallocation at or above half the payload
 //! size. Warm-up runs unarmed (buffers legitimately grow once); the
 //! armed steady-state waves must count zero. One `#[test]` only: the
 //! counter is process-global.
 
-use eric::core::{Device, EncryptionConfig, ProvisioningDaemon, SoftwareSource};
+use eric::core::{
+    DeliveryPolicy, Device, EncryptionConfig, FaultPlan, LossyChannel, Package, ProvisioningDaemon,
+    ResilientDelivery, SoftwareSource,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -111,7 +119,22 @@ fn steady_state_packaging_performs_no_payload_sized_allocations() {
          per device, counted {big}"
     );
 
-    // --- Phase 2: the daemon's recycling pool, end to end ---
+    // --- Phase 2: one delivery over a fault-free lossy channel ---
+    let delivery = ResilientDelivery::new(
+        LossyChannel::with_plan(FaultPlan::none()),
+        DeliveryPolicy::default(),
+    );
+    let deliver = || delivery.deliver_verified(0, &frames[0], |_: &Package| Ok(()));
+    assert!(deliver().status.is_delivered(), "warm-up delivery failed");
+    let (report, big) = armed(deliver);
+    assert!(report.status.is_delivered());
+    assert!(
+        big <= 2,
+        "one clean delivery made {big} payload-sized allocations; expected at \
+         most 2 (the attempt's copy of the frame and the parsed payload)"
+    );
+
+    // --- Phase 3: the daemon's recycling pool, end to end ---
     let workers = 2;
     let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), workers);
     let image = daemon.source().compile(&asm, config.compress).unwrap();
