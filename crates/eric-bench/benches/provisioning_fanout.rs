@@ -5,13 +5,15 @@
 //! image cache + buffer recycling) against the clone-per-device
 //! baseline.
 //!
-//! Asserts two floors, each self-skipping on hosts without the
+//! Asserts three floors. The first two self-skip on hosts without the
 //! hardware threads to scale onto:
 //!
 //! * fan-out: ≥ 2× packages/sec at 4 workers vs 1 worker;
 //! * sustained: the daemon pipeline ≥ 2× the clone-per-device baseline
 //!   at ≥ 4 workers (`ERIC_PROVISION_WORKERS` selects the worker
-//!   count, default 4).
+//!   count, default 4);
+//! * warm submit: the fastest cache-hit `submit` takes at most ⅓ of
+//!   the cold one that prepared the image, at any thread count.
 
 use eric_bench::output::{banner, smoke_mode, write_bench_json, write_json};
 use eric_bench::{provisioning_fanout, provisioning_sustained};
@@ -115,6 +117,11 @@ fn main() {
         sustained.sustained_mib_s,
         sustained.speedup
     );
+    let submit_ratio = sustained.warm_submit_ms / sustained.cold_submit_ms;
+    println!(
+        "submit: cold {:.3} ms, best warm {:.3} ms ({:.3} of cold)",
+        sustained.cold_submit_ms, sustained.warm_submit_ms, submit_ratio
+    );
 
     if smoke_mode() {
         println!("smoke mode: sustained floor assertion skipped");
@@ -135,6 +142,19 @@ fn main() {
              skipping the assertion (measured {:.2}x)",
             workers, sustained.host_threads, sustained.speedup
         );
+    }
+
+    if smoke_mode() {
+        println!("smoke mode: warm-submit floor assertion skipped");
+    } else {
+        assert!(
+            submit_ratio <= 1.0 / 3.0,
+            "a warm (cache-hit) submit must take at most 1/3 of the cold one, \
+             measured {:.3} ms warm vs {:.3} ms cold",
+            sustained.warm_submit_ms,
+            sustained.cold_submit_ms
+        );
+        println!("warm-submit floor OK: {submit_ratio:.3} of cold <= 1/3");
     }
 
     write_json("provisioning_fanout", &report);

@@ -924,6 +924,12 @@ pub struct SustainedReport {
     pub sustained_mib_s: f64,
     /// `sustained_pps / baseline_pps`.
     pub speedup: f64,
+    /// The warm-up wave's `submit` call, which prepares the image and
+    /// fills the cache, milliseconds.
+    pub cold_submit_ms: f64,
+    /// The fastest timed wave's `submit` call, a cache hit,
+    /// milliseconds.
+    pub warm_submit_ms: f64,
     /// Prepared-image cache hits across the daemon run (warm-up
     /// included; every submit after the first should hit).
     pub cache_hits: u64,
@@ -1007,8 +1013,13 @@ pub fn provisioning_sustained(
     // --- Daemon: cached preparation, zero-copy frames, recycling ---
     let daemon = ProvisioningDaemon::start(SoftwareSource::new("sustained-bench"), workers);
     let image = daemon.source().compile(&asm, config.compress).unwrap();
-    let run_daemon_wave = |sink_bytes: &mut usize| -> bool {
-        let handle = daemon.submit(&image, &config, creds.clone()).unwrap();
+    // Returns the wave's cache verdict and the wall clock of its
+    // `submit` call alone.
+    let run_daemon_wave = |sink_bytes: &mut usize| -> (bool, Duration) {
+        let creds = creds.clone();
+        let t = Instant::now();
+        let handle = daemon.submit(&image, &config, creds).unwrap();
+        let submit = t.elapsed();
         let hit = handle.cache_hit();
         let mut delivered = 0usize;
         for outcome in handle.iter() {
@@ -1018,20 +1029,23 @@ pub fn provisioning_sustained(
             delivered += 1;
         }
         assert_eq!(delivered, devices, "wave must fully succeed");
-        hit
+        (hit, submit)
     };
     let mut frame_bytes_total = 0usize;
-    run_daemon_wave(&mut frame_bytes_total); // warm-up: populates cache + pool
+    // Warm-up: populates cache + pool, so its submit is the cold one.
+    let (_, cold_submit) = run_daemon_wave(&mut frame_bytes_total);
     let frame_bytes = frame_bytes_total / devices.max(1);
 
     let mut rows: Vec<SustainedRow> = Vec::with_capacity(waves);
     let mut wave_samples: Vec<Duration> = Vec::with_capacity(waves);
+    let mut warm_submits: Vec<Duration> = Vec::with_capacity(waves);
     let t0 = Instant::now();
     for wave in 0..waves {
         let mut bytes = 0usize;
         let w0 = Instant::now();
-        let cache_hit = run_daemon_wave(&mut bytes);
+        let (cache_hit, submit) = run_daemon_wave(&mut bytes);
         let elapsed = w0.elapsed();
+        warm_submits.push(submit);
         wave_samples.push(elapsed);
         let secs = elapsed.as_secs_f64().max(f64::EPSILON);
         let packages_per_sec = devices as f64 / secs;
@@ -1056,6 +1070,7 @@ pub fn provisioning_sustained(
     let stats = daemon.cache_stats();
     let buffers_created = daemon.pool().created();
     let payload_bytes = prepared.payload_len();
+    let warm_submit = warm_submits.iter().min().copied().unwrap_or_default();
     daemon.shutdown();
 
     let sustained_pps = (devices * waves) as f64 / sustained_secs;
@@ -1070,6 +1085,8 @@ pub fn provisioning_sustained(
         sustained_pps,
         sustained_mib_s: (frame_bytes * devices * waves) as f64 / (1 << 20) as f64 / sustained_secs,
         speedup: sustained_pps / baseline_pps.max(f64::EPSILON),
+        cold_submit_ms: cold_submit.as_secs_f64() * 1e3,
+        warm_submit_ms: warm_submit.as_secs_f64() * 1e3,
         cache_hits: stats.hits,
         buffers_created,
         rows,
@@ -1750,6 +1767,8 @@ crate::impl_json_struct!(SustainedReport {
     sustained_pps,
     sustained_mib_s,
     speedup,
+    cold_submit_ms,
+    warm_submit_ms,
     cache_hits,
     buffers_created,
     rows
@@ -2248,6 +2267,17 @@ mod tests {
         for row in &r.rows {
             assert!(row.packages_per_sec > 0.0, "{row:?}");
         }
+    }
+
+    #[test]
+    fn sustained_report_times_cold_and_warm_submits() {
+        // Plumbing only: the bench binary enforces the release-build
+        // warm-submit floor.
+        let r = provisioning_sustained(4, 4 << 10, 2, 2);
+        assert_eq!(r.rows.len(), 2);
+        assert!(r.rows.iter().all(|row| row.cache_hit), "{r:?}");
+        assert_eq!(r.cache_hits, 2);
+        assert!(r.cold_submit_ms > 0.0 && r.warm_submit_ms > 0.0, "{r:?}");
     }
 
     #[test]

@@ -216,15 +216,6 @@ impl EncryptionConfig {
         }
         Ok(())
     }
-
-    /// Wire identifier of the mode (package header).
-    pub fn mode_wire_id(&self) -> u8 {
-        match self.mode {
-            EncryptionMode::Full => 0,
-            EncryptionMode::PartialRandom { .. } => 1,
-            EncryptionMode::FieldLevel(_) => 2,
-        }
-    }
 }
 
 impl Default for EncryptionConfig {
@@ -317,15 +308,5 @@ mod tests {
             .with_segments(4)
             .signature
             .is_segmented());
-    }
-
-    #[test]
-    fn mode_wire_ids_distinct() {
-        assert_eq!(EncryptionConfig::full().mode_wire_id(), 0);
-        assert_eq!(EncryptionConfig::partial(0.5, 0).mode_wire_id(), 1);
-        assert_eq!(
-            EncryptionConfig::field_level(FieldPolicy::AllButOpcode).mode_wire_id(),
-            2
-        );
     }
 }

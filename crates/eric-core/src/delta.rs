@@ -379,6 +379,7 @@ impl DeltaPackage {
         }
         let seg_bytes = changed_payload_bytes(&changed, payload_len, segment_len as usize);
         let segments = wire.bytes(seg_bytes, "delta payload")?;
+        wire.end()?;
         Ok(DeltaPackage {
             cipher: header.cipher,
             policy: header.policy,
@@ -415,8 +416,8 @@ impl Frame for DeltaPackage {
     ///
     /// [`EricError::Package`] naming the offending field for bad
     /// magic, unknown identifiers, bad geometry, a non-canonical
-    /// coverage map, a non-ascending or out-of-range index table, or
-    /// truncation.
+    /// coverage map, a non-ascending or out-of-range index table,
+    /// truncation, or bytes after the end of the frame.
     fn from_wire(wire: &[u8]) -> Result<DeltaPackage, EricError> {
         Self::read(&mut FrameReader::new(wire)).map_err(framing)
     }

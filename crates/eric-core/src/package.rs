@@ -286,7 +286,8 @@ impl Package {
     ///
     /// Returns [`EricError::Package`] naming the field for bad magic,
     /// unknown cipher or policy identifiers, a non-canonical coverage
-    /// map, bad manifest geometry, or truncated input.
+    /// map, bad manifest geometry, truncated input, or bytes after the
+    /// end of the frame.
     pub fn from_wire(wire: &[u8]) -> Result<Package, EricError> {
         let mut rest = wire;
         let FrameHead {
@@ -295,9 +296,10 @@ impl Package {
             map,
             signature,
         } = FrameReader::new(&mut rest).head().map_err(framing)?;
-        let payload = rest
-            .get(..header.payload_len as usize)
+        let (payload, tail) = rest
+            .split_at_checked(header.payload_len as usize)
             .ok_or_else(|| EricError::Package("truncated at payload".into()))?;
+        FrameReader::new(tail).end().map_err(framing)?;
         Ok(Package {
             cipher: header.cipher,
             policy: header.policy,

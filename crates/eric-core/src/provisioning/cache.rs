@@ -8,31 +8,33 @@
 //! image and an [`EncryptionConfig`], so repeating it per wave is pure
 //! waste. [`PreparedImageCache`] memoizes it.
 //!
-//! The cache key is a SHA-256 digest over the **image content** (text,
-//! data, load addresses, entry point, instruction boundaries) and the
-//! **full encryption configuration** — including the key epoch. That
-//! keying gives the two invalidation rules for free:
+//! Entries are found by **exact match**, so a lookup hashes nothing.
+//! An entry keeps the configuration it was prepared under (key epoch
+//! included) and, where `prepare_image` reads them, the image's
+//! instruction boundaries; its [`PreparedImage`] holds the payload and
+//! geometry. That gives the two invalidation rules for free:
 //!
-//! * **Source change** — a rebuilt image hashes to a different key, so
-//!   a stale preparation can never be served for new bytes.
-//! * **Credential rotation** — the epoch is part of the key, so a
-//!   rotated fleet naturally misses; [`PreparedImageCache::invalidate_stale_epochs`]
-//!   additionally purges the dead entries so they stop occupying
-//!   capacity (and a stale-epoch credential is still rejected at
-//!   packaging time — the cache can only ever *skip preparation*,
-//!   never widen what a credential can decrypt).
+//! * **Source change** — a rebuilt image differs from every entry in
+//!   some byte or field, so a stale preparation can never be served
+//!   for new bytes. This rests on equality, not on a hash.
+//! * **Credential rotation** — the epoch is part of the configuration,
+//!   so a rotated fleet naturally misses;
+//!   [`PreparedImageCache::invalidate_stale_epochs`] additionally
+//!   purges the dead entries so they stop occupying capacity (and a
+//!   stale-epoch credential is still rejected at packaging time — the
+//!   cache can only ever *skip preparation*, never widen what a
+//!   credential can decrypt).
 //!
 //! Entries are `Arc<PreparedImage>`, so a hit is a pointer clone; the
-//! map is guarded by a [`Mutex`] and evicts least-recently-used beyond
-//! a fixed capacity.
+//! entries are guarded by a [`Mutex`], and the least-recently-used one
+//! is evicted beyond a fixed capacity.
 
 use super::daemon::lock_clean;
-use crate::config::{EncryptionConfig, EncryptionMode, SignatureScheme};
+use crate::config::{EncryptionConfig, EncryptionMode};
 use crate::error::EricError;
 use crate::source::{PreparedImage, SoftwareSource};
+use eric_asm::image::InstBoundary;
 use eric_asm::Image;
-use eric_crypto::sha256::Sha256;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Aggregate counters of one cache's lifetime.
@@ -61,14 +63,42 @@ pub struct CacheLookup {
 }
 
 struct Entry {
+    config: EncryptionConfig,
+    /// The boundaries `prepare_image` read ([`boundaries_read`]).
+    boundaries: Vec<InstBoundary>,
     prepared: Arc<PreparedImage>,
-    epoch: u64,
     last_used: u64,
+}
+
+impl Entry {
+    /// Whether this entry is the preparation of `image` × `config`:
+    /// the cheap fields first, then the payload byte for byte (a slice
+    /// comparison checks the lengths before any byte).
+    fn matches(&self, image: &Image, config: &EncryptionConfig) -> bool {
+        let p = &self.prepared;
+        let (text, data) = p.payload.split_at(p.text_len as usize);
+        self.config == *config
+            && (p.text_base, p.data_base, p.entry)
+                == (image.text_base, image.data_base, image.entry)
+            && text == image.text
+            && data == image.data
+            && self.boundaries == boundaries_read(image, config)
+    }
+}
+
+/// The instruction boundaries `prepare_image` reads under `config`:
+/// all of them for a partial map or the field-level compressed-image
+/// check, none for full encryption.
+fn boundaries_read<'a>(image: &'a Image, config: &EncryptionConfig) -> &'a [InstBoundary] {
+    match config.mode {
+        EncryptionMode::Full => &[],
+        _ => &image.boundaries,
+    }
 }
 
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<[u8; 32], Entry>,
+    entries: Vec<Entry>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -98,7 +128,7 @@ struct Inner {
 /// assert!(hit.hit);
 /// assert!(Arc::ptr_eq(&miss.prepared, &hit.prepared)); // shared, not re-prepared
 ///
-/// // Rotating the key epoch changes the cache key: no stale reuse.
+/// // A rotated key epoch is a different configuration: no stale reuse.
 /// let rotated = config.with_epoch(1);
 /// assert!(!cache.get_or_prepare(&source, &image, &rotated).unwrap().hit);
 /// assert_eq!(cache.invalidate_stale_epochs(1), 1); // epoch-0 entry purged
@@ -137,10 +167,14 @@ impl PreparedImageCache {
     /// Look up the preparation for `image` × `config`, running
     /// [`SoftwareSource::prepare_image`] only on a miss.
     ///
-    /// The lock is **not** held while preparing, so a slow preparation
-    /// never blocks hits on other keys; two threads racing the same
-    /// cold key may both prepare (the results are identical — the last
-    /// insert wins).
+    /// A lookup hashes nothing. It costs at most `capacity` byte
+    /// comparisons, each stopping at the first differing byte, and
+    /// only entries whose configuration and geometry match get that far.
+    ///
+    /// The comparisons run under the cache's lock; preparation does
+    /// **not**, so a slow preparation never blocks hits on other
+    /// images. Two threads racing the same cold image may both prepare
+    /// (the results are identical — the last insert wins).
     ///
     /// # Errors
     ///
@@ -151,12 +185,11 @@ impl PreparedImageCache {
         image: &Image,
         config: &EncryptionConfig,
     ) -> Result<CacheLookup, EricError> {
-        let key = cache_key(image, config);
         {
             let mut inner = lock_clean(&self.inner);
             inner.tick += 1;
             let tick = inner.tick;
-            if let Some(entry) = inner.entries.get_mut(&key) {
+            if let Some(entry) = inner.entries.iter_mut().find(|e| e.matches(image, config)) {
                 entry.last_used = tick;
                 let prepared = entry.prepared.clone();
                 inner.hits += 1;
@@ -168,27 +201,25 @@ impl PreparedImageCache {
             inner.misses += 1;
         }
         let prepared = Arc::new(source.prepare_image(image, config)?);
+        let boundaries = boundaries_read(image, config).to_vec();
         let mut inner = lock_clean(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        while inner.entries.len() >= self.capacity && !inner.entries.contains_key(&key) {
-            let lru = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
+        // A thread racing the same cold image may have inserted it.
+        inner.entries.retain(|e| !e.matches(image, config));
+        while inner.entries.len() >= self.capacity {
+            let lru = (0..inner.entries.len())
+                .min_by_key(|&i| inner.entries[i].last_used)
                 .expect("non-empty at capacity");
-            inner.entries.remove(&lru);
+            inner.entries.swap_remove(lru);
             inner.evictions += 1;
         }
-        inner.entries.insert(
-            key,
-            Entry {
-                prepared: prepared.clone(),
-                epoch: config.epoch,
-                last_used: tick,
-            },
-        );
+        inner.entries.push(Entry {
+            config: config.clone(),
+            boundaries,
+            prepared: prepared.clone(),
+            last_used: tick,
+        });
         Ok(CacheLookup {
             prepared,
             hit: false,
@@ -200,12 +231,12 @@ impl PreparedImageCache {
     /// dropped.
     ///
     /// Stale entries could never be *served* for a rotated
-    /// configuration (the epoch is part of the key); this reclaims
-    /// their capacity and memory.
+    /// configuration (the epoch is part of the configuration an entry
+    /// must match); this reclaims their capacity and memory.
     pub fn invalidate_stale_epochs(&self, live_epoch: u64) -> usize {
         let mut inner = lock_clean(&self.inner);
         let before = inner.entries.len();
-        inner.entries.retain(|_, e| e.epoch == live_epoch);
+        inner.entries.retain(|e| e.config.epoch == live_epoch);
         let dropped = before - inner.entries.len();
         inner.invalidations += dropped as u64;
         dropped
@@ -240,46 +271,6 @@ impl PreparedImageCache {
             entries: inner.entries.len(),
         }
     }
-}
-
-/// Digest the image content and the full encryption configuration into
-/// the cache key. Everything `prepare_image` reads must be hashed:
-/// payload bytes, geometry, instruction boundaries (partial-map
-/// selection), mode, cipher, epoch, compression, signature scheme.
-fn cache_key(image: &Image, config: &EncryptionConfig) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(b"eric-prepared-image-v1");
-    h.update(&image.text_base.to_le_bytes());
-    h.update(&image.data_base.to_le_bytes());
-    h.update(&image.entry.to_le_bytes());
-    h.update(&(image.text.len() as u64).to_le_bytes());
-    h.update(&image.text);
-    h.update(&(image.data.len() as u64).to_le_bytes());
-    h.update(&image.data);
-    h.update(&(image.boundaries.len() as u64).to_le_bytes());
-    for b in &image.boundaries {
-        h.update(&b.offset.to_le_bytes());
-        h.update(&(b.kind.len() as u8).to_le_bytes());
-    }
-    h.update(&[config.mode_wire_id()]);
-    match config.mode {
-        EncryptionMode::Full => {}
-        EncryptionMode::PartialRandom { fraction, seed } => {
-            h.update(&fraction.to_bits().to_le_bytes());
-            h.update(&seed.to_le_bytes());
-        }
-        EncryptionMode::FieldLevel(policy) => h.update(&[policy.wire_id()]),
-    }
-    h.update(&[config.cipher.wire_id(), config.compress as u8]);
-    h.update(&config.epoch.to_le_bytes());
-    match config.signature {
-        SignatureScheme::Single => h.update(&[0]),
-        SignatureScheme::Segmented { segment_len } => {
-            h.update(&[1]);
-            h.update(&segment_len.to_le_bytes());
-        }
-    }
-    *h.finalize().as_bytes()
 }
 
 #[cfg(test)]
@@ -379,6 +370,65 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.get_or_prepare(&source, &image, &c0).unwrap().hit);
         assert!(!cache.get_or_prepare(&source, &image, &c1).unwrap().hit);
+    }
+
+    #[test]
+    fn data_differing_in_its_last_byte_hits_its_own_preparation() {
+        let (source, mut a) = setup();
+        a.data = vec![0x5A; 64];
+        let mut b = a.clone();
+        *b.data.last_mut().unwrap() ^= 1;
+        let cache = PreparedImageCache::new(4);
+        let config = EncryptionConfig::full();
+        let first_a = cache.get_or_prepare(&source, &a, &config).unwrap();
+        let first_b = cache.get_or_prepare(&source, &b, &config).unwrap();
+        assert!(!first_a.hit && !first_b.hit);
+        for (image, first) in [(&a, &first_a), (&b, &first_b)] {
+            let again = cache.get_or_prepare(&source, image, &config).unwrap();
+            assert!(again.hit);
+            assert!(Arc::ptr_eq(&again.prepared, &first.prepared));
+        }
+        assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn partial_mode_misses_on_different_boundaries() {
+        let (source, image) = setup();
+        let mut relabelled = image.clone();
+        relabelled.boundaries.pop();
+        let cache = PreparedImageCache::new(4);
+        let partial = EncryptionConfig::partial(0.5, 1);
+        assert!(!cache.get_or_prepare(&source, &image, &partial).unwrap().hit);
+        assert!(
+            !cache
+                .get_or_prepare(&source, &relabelled, &partial)
+                .unwrap()
+                .hit
+        );
+        // Full encryption never reads the boundaries.
+        let full = EncryptionConfig::full();
+        assert!(!cache.get_or_prepare(&source, &image, &full).unwrap().hit);
+        assert!(
+            cache
+                .get_or_prepare(&source, &relabelled, &full)
+                .unwrap()
+                .hit
+        );
+    }
+
+    #[test]
+    fn compressed_boundaries_are_refused_despite_cached_bytes() {
+        let (source, image) = setup();
+        let cache = PreparedImageCache::new(4);
+        let config = EncryptionConfig::field_level(eric_hde::FieldPolicy::AllButOpcode);
+        cache.get_or_prepare(&source, &image, &config).unwrap();
+        let mut compressed = image.clone();
+        compressed.boundaries[0].kind = eric_asm::ParcelKind::Compressed;
+        let err = cache
+            .get_or_prepare(&source, &compressed, &config)
+            .unwrap_err();
+        assert!(matches!(err, EricError::Config(_)), "{err}");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

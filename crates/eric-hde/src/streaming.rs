@@ -97,7 +97,8 @@ impl<'l> StreamingLoader<'l> {
     /// [`HdeError::SignatureMismatch`] from the final root fold. A
     /// stream that ends early is [`HdeError::Malformed`] when the read
     /// runs dry, after every complete segment before it has been
-    /// checked.
+    /// checked; the frame must be the whole stream, so a byte after
+    /// the last segment is [`HdeError::Malformed`] too.
     pub fn process<R: Read>(&self, source: R) -> Result<LoadedProgram, HdeError> {
         let mut plaintext = Vec::new();
         let (report, leaves) = self.verify(source, |_, segment: &[u8]| {
@@ -183,6 +184,7 @@ impl<'l> StreamingLoader<'l> {
             recomputed.extend(verifier.verify_block(index, segment)?);
             sink(index, segment);
         }
+        reader.end()?;
 
         let report = StreamReport {
             payload_len,

@@ -20,7 +20,8 @@
 //! variable-length fields grow with the bytes that actually arrive. A
 //! forged length over a short input is a truncation error, never a
 //! large allocation. Every failure is an [`HdeError::Malformed`]
-//! naming the field.
+//! naming the field, and every entry point ends its frame with
+//! [`FrameReader::end`], which refuses bytes appended after it.
 
 use crate::error::HdeError;
 use crate::manifest::{SegmentManifest, SignatureBlock};
@@ -192,6 +193,16 @@ impl<R: Read> FrameReader<R> {
             return Err(malformed(format!("truncated at {what}")));
         }
         Ok(buf)
+    }
+
+    /// The end of the frame: refuses any byte after it, so a frame has
+    /// one encoding and no unauthenticated bytes ride along with it.
+    pub fn end(&mut self) -> Result<(), HdeError> {
+        match self.source.read_exact(&mut [0]) {
+            Ok(()) => Err(malformed("trailing bytes after the end of the frame")),
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(()),
+            Err(e) => Err(malformed(format!("stream error at end of frame: {e}"))),
+        }
     }
 
     /// The fields after a `magic` the caller has already read and

@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::Path;
 
-const MAX_NON_TEST_LINES: usize = 7_385;
+const MAX_NON_TEST_LINES: usize = 7_383;
 const MAX_PUBLIC_ITEMS: usize = 337;
 
 const PUBLIC_KINDS: [&str; 9] = [

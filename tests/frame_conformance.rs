@@ -1,12 +1,12 @@
 //! Frame conformance: the buffered and the streaming device entry
-//! points agree on every single-bit flip and every truncation of an
-//! `ERIC2` frame.
+//! points agree on every single-bit flip, every truncation and every
+//! appended suffix of an `ERIC2` frame.
 //!
 //! Both paths read a frame through the one frame parser
 //! (`eric_hde::wire`) and check it with the one segment verifier
 //! (`eric_hde::verify`). For each of a full, a partial and a
-//! field-level frame with 32-byte segments, every mutated frame must
-//! satisfy:
+//! field-level frame with 32-byte segments, every mutated frame (bytes
+//! appended after its end included) must satisfy:
 //!
 //! * (a) `Package::from_wire` → `SecureLoader::process` and
 //!   `StreamingLoader::process` agree on accept vs reject;
@@ -40,6 +40,9 @@ const PROGRAM: &str = r#"
 const SEED: u64 = 15;
 /// Tiny segments so each frame spans several leaves.
 const SEGMENT_LEN: u32 = 32;
+
+/// Bytes appended after a whole frame, which no entry point may accept.
+const SUFFIXES: [&[u8]; 2] = [&[0xEE], &[0xEE; 100]];
 
 /// Base and target of the delta case (the `tests/ota_delta.rs`
 /// programs): the target's 180-byte payload spans six segments, two of
@@ -171,6 +174,11 @@ fn buffered_and_streaming_agree_on_every_bit_flip_and_truncation() {
                 failures.push(format!("{mode} cut to {keep} bytes: {v}"));
             }
         }
+        for suffix in SUFFIXES {
+            for v in violations(&loader, &[&wire[..], suffix].concat(), false) {
+                failures.push(format!("{mode} + {} appended bytes: {v}", suffix.len()));
+            }
+        }
     }
     assert!(
         failures.is_empty(),
@@ -222,6 +230,11 @@ fn partial_map_delta_rejects_every_bit_flip_and_truncation() {
     for keep in 0..wire.len() {
         if apply(&wire[..keep]).is_ok() {
             accepted.push(format!("cut to {keep} bytes"));
+        }
+    }
+    for suffix in SUFFIXES {
+        if apply(&[&wire[..], suffix].concat()).is_ok() {
+            accepted.push(format!("{} appended bytes", suffix.len()));
         }
     }
     assert!(
