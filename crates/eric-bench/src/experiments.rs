@@ -518,8 +518,8 @@ pub struct ParallelRow {
 
 /// Ablation: multi-lane decryption (paper future work).
 pub fn ablation_parallel_decrypt() -> Vec<ParallelRow> {
-    use eric_crypto::cipher::ShaCtrCipher;
-    use eric_hde::parallel::decrypt_parallel;
+    use eric_crypto::cipher::{KeystreamCipher, ShaCtrCipher};
+    use eric_hde::parallel::map_lane_blocks;
     let timing = HdeTimingConfig::default();
     let bytes = 4 << 20;
     let cipher = ShaCtrCipher::new(b"parallel bench key");
@@ -528,7 +528,12 @@ pub fn ablation_parallel_decrypt() -> Vec<ParallelRow> {
         .map(|lanes| {
             let mut buf = vec![0xA5u8; bytes];
             let t = Instant::now();
-            decrypt_parallel(&mut buf, &cipher, lanes);
+            // One block per lane, decrypted at its absolute offset.
+            let per_lane = bytes.div_ceil(lanes);
+            map_lane_blocks(&mut buf, per_lane, lanes, |_, offset, block| {
+                cipher.apply(offset as u64, block);
+                Vec::<()>::new()
+            });
             let wall = t.elapsed();
             std::hint::black_box(&buf);
             crate::output::record(
@@ -916,7 +921,8 @@ pub struct SustainedReport {
     /// Host threads available.
     pub host_threads: usize,
     /// Clone-per-device pipeline: aggregate packages/sec over all
-    /// timed waves (`package_prepared` + `to_wire` per device).
+    /// timed waves (`package_prepared` + `to_wire` per device, three
+    /// payload-sized allocations).
     pub baseline_pps: f64,
     /// Daemon pipeline: aggregate packages/sec over all timed waves.
     pub sustained_pps: f64,
@@ -946,12 +952,14 @@ pub struct SustainedReport {
 /// clone-per-device baseline at the same worker count.
 ///
 /// The baseline is what a naive sender does per device: build a
-/// [`Package`] (cloning the shared payload into it) and serialize it
-/// into a fresh wire `Vec`. The daemon path instead XORs the keystream
-/// straight into a recycled transmit buffer and serves preparation
-/// from the epoch-keyed cache, so its steady state performs zero
-/// per-device payload-sized allocations — the structural win this
-/// experiment quantifies.
+/// [`Package`] with `package_prepared` and serialize it into a fresh
+/// wire `Vec`. That is three payload-sized allocations per device: the
+/// frame `package_prepared` writes, the payload its parse copies out of
+/// that frame, and the wire `Vec`. The daemon path instead XORs the
+/// keystream straight into a recycled transmit buffer and serves
+/// preparation from the epoch-keyed cache, so its steady state
+/// performs zero per-device payload-sized allocations — the
+/// structural win this experiment quantifies.
 pub fn provisioning_sustained(
     devices: usize,
     data_bytes: usize,
@@ -970,9 +978,9 @@ pub fn provisioning_sustained(
 
     // --- Baseline: clone-per-device packaging, same worker count and
     // the same delivery shape (bounded channel into a consumer), so
-    // the comparison isolates the allocation structure — per-device
-    // payload clone + fresh wire `Vec` vs keystream-into-recycled
-    // buffer — not the pipeline topology.
+    // the comparison isolates the allocation structure — a fresh
+    // frame, a parsed payload copy and a fresh wire `Vec` per device vs
+    // keystream-into-recycled buffer — not the pipeline topology.
     let source = SoftwareSource::new("sustained-bench");
     let image = source.compile(&asm, config.compress).unwrap();
     let prepared = source.prepare_image(&image, &config).unwrap();
@@ -1067,7 +1075,7 @@ pub fn provisioning_sustained(
         crate::output::stats_of(&mut wave_samples),
         None,
     );
-    let stats = daemon.cache_stats();
+    let stats = daemon.cache().stats();
     let buffers_created = daemon.pool().created();
     let payload_bytes = prepared.payload_len();
     let warm_submit = warm_submits.iter().min().copied().unwrap_or_default();

@@ -640,7 +640,7 @@ impl SoftwareSource {
                 cred.device_id, cred.epoch, delta.epoch
             )));
         }
-        let nonce = self.draw_nonce();
+        let nonce = self.next_nonce();
         let payload_len = delta.payload_len as usize;
         let segment_len = delta.segment_len as usize;
 

@@ -82,7 +82,6 @@ pub use error::{EricError, FaultClass, TransportFault};
 pub use package::{Frame, Package, SizeReport};
 pub use provisioning::{
     BatchHandle, BufferPool, CacheLookup, CacheStats, DaemonHealth, PackagingHook,
-    PreparedImageCache, ProvisioningDaemon, RecvTimeout, ShardQueue, SubmitError, WireFrame,
-    WireOutcome,
+    PreparedImageCache, ProvisioningDaemon, RecvTimeout, SubmitError, WireFrame, WireOutcome,
 };
-pub use source::{BuildTimings, PackagedFrame, PreparedImage, SoftwareSource};
+pub use source::{PackagedFrame, PreparedImage, SoftwareSource};

@@ -1,4 +1,4 @@
-//! Long-running sharded provisioning daemon.
+//! Long-running provisioning daemon.
 //!
 //! A provisioning service under continuous load wants a resident pool
 //! fed by a queue, so consecutive waves pay zero thread-spawn cost,
@@ -16,11 +16,10 @@
 //!   from a daemon-wide [`BufferPool`]; consumers hand frames back via
 //!   [`BatchHandle::recycle`], so after warm-up the pool cycles a
 //!   fixed set of buffers.
-//! * **Sharding** splits each batch into per-worker index ranges
-//!   ([`ShardQueue`]); a worker drains its home shard with a relaxed
-//!   atomic cursor and then *steals from the longest* remaining shard,
-//!   so a skewed batch (or a worker stalled on a slow device) never
-//!   idles the pool.
+//! * **Claiming** hands out a batch's devices through one relaxed
+//!   atomic cursor: every worker takes the next unclaimed index, so
+//!   the pool stays busy until the last device is claimed, and a
+//!   worker stalled on a slow device holds only that one device.
 //! * **Backpressure** is double-bounded: each batch streams outcomes
 //!   over a `sync_channel(workers)` (a slow consumer stalls the
 //!   workers, never buffers unboundedly), and `submit` itself blocks
@@ -52,7 +51,7 @@
 //!   panics, and delivery retries reported via
 //!   [`ProvisioningDaemon::note_retries`].
 
-use super::cache::{CacheStats, PreparedImageCache};
+use super::cache::PreparedImageCache;
 use crate::config::EncryptionConfig;
 use crate::delta::PreparedDelta;
 use crate::error::EricError;
@@ -73,110 +72,6 @@ use std::time::{Duration, Instant};
 /// it would only cascade one contained panic into every other thread.
 pub(crate) fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A batch of device indices split into per-worker shards, drained by
-/// relaxed atomic cursors with steal-from-longest work stealing.
-///
-/// Each shard is a half-open index range with its own cursor; a worker
-/// pops its *home* shard until empty, then repeatedly steals from
-/// whichever shard has the most work left. Cursors only ever advance,
-/// so every index is handed out exactly once even under contention
-/// (an over-advanced cursor simply reports the shard empty).
-///
-/// # Examples
-///
-/// ```
-/// use eric_core::ShardQueue;
-///
-/// let q = ShardQueue::new_even(10, 3); // shards [0,4) [4,8) [8,10)
-/// assert_eq!(q.shard_count(), 3);
-/// assert_eq!(q.remaining(), 10);
-/// assert_eq!(q.pop(2), Some(8)); // home shard first
-/// assert_eq!(q.pop(2), Some(9));
-/// assert_eq!(q.pop(2), Some(4)); // then steal from the longest (ties: later shard)
-/// ```
-#[derive(Debug)]
-pub struct ShardQueue {
-    starts: Vec<usize>,
-    ends: Vec<usize>,
-    cursors: Vec<AtomicUsize>,
-}
-
-impl ShardQueue {
-    /// Split `0..total` into `shards` near-even contiguous ranges
-    /// (`shards` is clamped to at least 1).
-    pub fn new_even(total: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let chunk = total.div_ceil(shards).max(1);
-        let ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|s| ((s * chunk).min(total), ((s + 1) * chunk).min(total)))
-            .collect();
-        Self::from_ranges(&ranges)
-    }
-
-    /// Build from explicit half-open `(start, end)` ranges — the hook
-    /// for testing deliberately skewed shard sizes.
-    pub fn from_ranges(ranges: &[(usize, usize)]) -> Self {
-        ShardQueue {
-            starts: ranges.iter().map(|&(s, _)| s).collect(),
-            ends: ranges.iter().map(|&(_, e)| e).collect(),
-            cursors: ranges.iter().map(|&(s, _)| AtomicUsize::new(s)).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.ends.len()
-    }
-
-    fn pop_from(&self, shard: usize) -> Option<usize> {
-        // Optimistic claim: overshooting an empty shard is harmless —
-        // the cursor just stays past `end` and the shard reads as
-        // drained.
-        let i = self.cursors[shard].fetch_add(1, Ordering::Relaxed);
-        (i < self.ends[shard]).then_some(i)
-    }
-
-    fn remaining_in(&self, shard: usize) -> usize {
-        self.ends[shard].saturating_sub(
-            self.cursors[shard]
-                .load(Ordering::Relaxed)
-                .max(self.starts[shard]),
-        )
-    }
-
-    /// Claim the next index: from the worker's `home` shard while it
-    /// lasts, then stolen from the shard with the most work remaining.
-    /// Returns `None` only when every shard is drained.
-    pub fn pop(&self, home: usize) -> Option<usize> {
-        let home = home % self.shard_count();
-        if let Some(i) = self.pop_from(home) {
-            return Some(i);
-        }
-        // Steal-from-longest: balances the tail of a skewed batch.
-        // Each failed claim means a rival took that index, so total
-        // remaining strictly decreases and the loop terminates.
-        loop {
-            let victim = (0..self.shard_count()).max_by_key(|&s| self.remaining_in(s))?;
-            if self.remaining_in(victim) == 0 {
-                return None;
-            }
-            if let Some(i) = self.pop_from(victim) {
-                return Some(i);
-            }
-        }
-    }
-
-    /// Indices not yet claimed, across all shards.
-    pub fn remaining(&self) -> usize {
-        (0..self.shard_count()).map(|s| self.remaining_in(s)).sum()
-    }
-
-    /// Whether every index has been claimed.
-    pub fn is_drained(&self) -> bool {
-        self.remaining() == 0
-    }
 }
 
 /// A recycling pool of wire-frame buffers.
@@ -441,12 +336,29 @@ enum JobImage {
 struct BatchJob {
     image: JobImage,
     creds: Vec<EnrollmentRecord>,
-    shards: ShardQueue,
+    /// The next unclaimed index into `creds`.
+    cursor: AtomicUsize,
     // `SyncSender` is `Sync`, so workers share the job's sender
     // through the `Arc` and the channel closes when the last worker
     // drops its reference after the final send.
     tx: SyncSender<WireOutcome>,
     done: AtomicUsize,
+}
+
+impl BatchJob {
+    /// Claim the next device index, `None` once every device is
+    /// claimed. Relaxed: the cursor publishes no data (`creds` is
+    /// immutable and reached through the `Arc`), and a claim past the
+    /// end only leaves the cursor further past it.
+    fn claim(&self) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.creds.len()).then_some(i)
+    }
+
+    /// Whether every device has been claimed.
+    fn is_drained(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) >= self.creds.len()
+    }
 }
 
 #[derive(Default)]
@@ -470,7 +382,7 @@ struct DaemonShared {
     hook: Mutex<Option<PackagingHook>>,
 }
 
-/// A resident, queue-fed, sharded provisioning service.
+/// A resident, queue-fed provisioning service.
 ///
 /// # Examples
 ///
@@ -553,7 +465,7 @@ impl ProvisioningDaemon {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("eric-provision-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn provisioning worker")
             })
             .collect();
@@ -581,11 +493,6 @@ impl ProvisioningDaemon {
         &self.shared.cache
     }
 
-    /// Cache counters (hits, misses, evictions, invalidations).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
-    }
-
     /// The daemon-wide frame-buffer pool (its
     /// [`created`](BufferPool::created) counter is the steady-state
     /// allocation observable).
@@ -593,8 +500,8 @@ impl ProvisioningDaemon {
         &self.shared.pool
     }
 
-    /// Queue a batch: prepare (or cache-hit) the image × config, shard
-    /// `creds` across the workers, and return the outcome stream.
+    /// Queue a batch: prepare (or cache-hit) the image × config, fan
+    /// `creds` out across the workers, and return the outcome stream.
     ///
     /// Blocks while `queue_depth` batches are already pending
     /// (submission backpressure). Consume or drop the returned handle
@@ -654,8 +561,8 @@ impl ProvisioningDaemon {
     ///
     /// Delta preparation is the caller's (cheap) diff over two prepared
     /// images, so there is no cache lookup; the batch rides the same
-    /// shards, buffer pool, backpressure, and panic containment as a
-    /// full-image wave. Each delivered [`WireFrame`] parses with
+    /// claim cursor, buffer pool, backpressure, and panic containment
+    /// as a full-image wave. Each delivered [`WireFrame`] parses with
     /// [`DeltaPackage::from_wire`](crate::Frame::from_wire).
     ///
     /// # Errors
@@ -718,8 +625,8 @@ impl ProvisioningDaemon {
         }
         let job = Arc::new(BatchJob {
             image,
-            shards: ShardQueue::new_even(devices, self.workers.min(devices)),
             creds,
+            cursor: AtomicUsize::new(0),
             tx,
             done: AtomicUsize::new(0),
         });
@@ -888,7 +795,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn worker_loop(shared: &DaemonShared, worker: usize) {
+fn worker_loop(shared: &DaemonShared) {
     loop {
         // Claim the oldest job with work left; park when there is
         // none. Shutdown is checked only when idle, so every accepted
@@ -896,11 +803,11 @@ fn worker_loop(shared: &DaemonShared, worker: usize) {
         let job = {
             let mut queue = lock_clean(&shared.queue);
             loop {
-                while queue.jobs.front().is_some_and(|j| j.shards.is_drained()) {
+                while queue.jobs.front().is_some_and(|j| j.is_drained()) {
                     queue.jobs.pop_front();
                     shared.state_cv.notify_all();
                 }
-                if let Some(job) = queue.jobs.iter().find(|j| !j.shards.is_drained()) {
+                if let Some(job) = queue.jobs.iter().find(|j| !j.is_drained()) {
                     break job.clone();
                 }
                 if shared.shutdown.load(Ordering::Relaxed) {
@@ -912,8 +819,7 @@ fn worker_loop(shared: &DaemonShared, worker: usize) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let home = worker % job.shards.shard_count();
-        while let Some(index) = job.shards.pop(home) {
+        while let Some(index) = job.claim() {
             let cred = &job.creds[index];
             let t0 = Instant::now();
             let mut buf = shared.pool.take();
@@ -992,58 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_queue_steals_from_the_longest_shard() {
-        // Deterministic single-threaded walk: home shard 0 has 2, the
-        // middle shard has 10, the last has 3 — after draining home,
-        // every steal must hit the (currently) longest shard.
-        let q = ShardQueue::from_ranges(&[(0, 2), (2, 12), (12, 15)]);
-        assert_eq!(q.pop(0), Some(0));
-        assert_eq!(q.pop(0), Some(1));
-        // First steal: shard 1 (10 left) beats shard 2 (3 left).
-        assert_eq!(q.pop(0), Some(2));
-        // Drain shard 1 down to 3 remaining; still ≥ shard 2, and
-        // max_by_key prefers the later shard on ties, so watch the
-        // crossover exactly.
-        let mut seen = vec![0usize, 1, 2];
-        while let Some(i) = q.pop(0) {
-            seen.push(i);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..15).collect::<Vec<_>>());
-        assert!(q.is_drained());
-        assert_eq!(q.pop(0), None);
-    }
-
-    #[test]
-    fn shard_queue_covers_every_index_exactly_once_under_contention() {
-        let q = ShardQueue::new_even(503, 4); // deliberately non-divisible
-        let hits: Vec<AtomicUsize> = (0..503).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let (q, hits) = (&q, &hits);
-                scope.spawn(move || {
-                    while let Some(i) = q.pop(w) {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert!(q.is_drained());
-    }
-
-    #[test]
-    fn shard_queue_clamps_degenerate_shapes() {
-        let q = ShardQueue::new_even(3, 8); // more shards than work
-        let mut seen: Vec<usize> = std::iter::from_fn(|| q.pop(7)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2]);
-        let empty = ShardQueue::new_even(0, 0);
-        assert!(empty.is_drained());
-        assert_eq!(empty.pop(0), None);
-    }
-
-    #[test]
     fn buffer_pool_recycles_capacity() {
         let pool = BufferPool::new();
         let mut a = pool.take();
@@ -1080,7 +934,7 @@ mod tests {
             }
             assert_eq!(delivered, 6);
         }
-        let stats = daemon.cache_stats();
+        let stats = daemon.cache().stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         // Steady state: no more buffers than could ever be in flight.
         assert!(daemon.pool().created() <= 2 * daemon.workers() + 2);

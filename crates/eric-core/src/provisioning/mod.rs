@@ -69,7 +69,7 @@ pub mod daemon;
 pub use cache::{CacheLookup, CacheStats, PreparedImageCache};
 pub use daemon::{
     BatchHandle, BufferPool, DaemonHealth, PackagingHook, ProvisioningDaemon, RecvTimeout,
-    ShardQueue, SubmitError, WireFrame, WireOutcome,
+    SubmitError, WireFrame, WireOutcome,
 };
 
 #[cfg(test)]
@@ -180,7 +180,7 @@ mod tests {
         // Two waves off one cached preparation.
         let wave1 = packages_in_order(&daemon, PROGRAM, &creds[..2], &config);
         let wave2 = packages_in_order(&daemon, PROGRAM, &creds[2..], &config);
-        let stats = daemon.cache_stats();
+        let stats = daemon.cache().stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         for (device, package) in devices.iter_mut().zip(wave1.iter().chain(&wave2)) {
             // Seed-deterministic map: shared across the whole fleet.

@@ -15,12 +15,9 @@ use crate::package::Package;
 use eric_asm::{assemble, AsmOptions, Image};
 use eric_crypto::kdf::KeyManagementUnit;
 use eric_crypto::sha256::{tree, Digest, Sha256};
-use eric_hde::manifest::{signed_root, SegmentManifest, SignatureBlock};
+use eric_hde::manifest::signed_root;
 use eric_hde::map::{CoverageMap, ParcelBitmap};
-use eric_hde::transform::{
-    manifest_stream_offset, transform_manifest_leaves, transform_payload, transform_payload_into,
-    transform_signature,
-};
+use eric_hde::transform::{manifest_stream_offset, transform_payload_into, transform_signature};
 use eric_hde::wire::{
     map_wire_len, write_challenge, write_map, FrameHeader, HEADER_FIXED_LEN, MAGIC_V1, MAGIC_V2,
 };
@@ -31,60 +28,18 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Wall-clock breakdown of one build (Figure 6's measurement).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BuildTimings {
-    /// Assembly (the baseline compiler's entire job).
-    pub compile: Duration,
-    /// SHA-256 signature generation.
-    pub sign: Duration,
-    /// Map construction + payload/signature encryption.
-    pub encrypt: Duration,
-    /// Wire serialization.
-    pub package: Duration,
-}
-
-impl BuildTimings {
-    /// Total build time.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use eric_core::BuildTimings;
-    /// use std::time::Duration;
-    ///
-    /// let t = BuildTimings {
-    ///     compile: Duration::from_micros(100),
-    ///     sign: Duration::from_micros(10),
-    ///     encrypt: Duration::from_micros(5),
-    ///     package: Duration::from_micros(1),
-    /// };
-    /// assert_eq!(t.total(), Duration::from_micros(116));
-    /// ```
-    pub fn total(&self) -> Duration {
-        self.compile + self.sign + self.encrypt + self.package
-    }
-
-    /// Relative overhead of sign+encrypt+package over plain
-    /// compilation, in percent (the Figure 6 y-axis).
-    pub fn overhead_pct(&self) -> f64 {
-        let extra = self.sign + self.encrypt + self.package;
-        100.0 * extra.as_secs_f64() / self.compile.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
 /// An image with all device-independent packaging work done: payload
 /// assembled and the coverage map constructed.
 ///
-/// This is the compile-time half of [`SoftwareSource::package_image`].
+/// This is the device-independent half of [`SoftwareSource::build`].
 /// A `PreparedImage` is immutable and can be shared (by reference)
 /// across threads, so batch provisioning pays the compile + map cost
 /// once and fans out only the per-device work (nonce allocation,
 /// signing, encryption, serialization). Built by
 /// [`SoftwareSource::prepare_image`], consumed by
-/// [`SoftwareSource::package_prepared`] and
 /// [`SoftwareSource::package_prepared_into`] (which the
-/// [`ProvisioningDaemon`](crate::ProvisioningDaemon) workers call).
+/// [`ProvisioningDaemon`](crate::ProvisioningDaemon) workers call) and
+/// its parsed-package wrapper [`SoftwareSource::package_prepared`].
 #[derive(Clone, Debug)]
 pub struct PreparedImage {
     pub(crate) cipher: eric_crypto::cipher::CipherKind,
@@ -204,17 +159,11 @@ impl SoftwareSource {
     }
 
     /// Draw the next package nonce: lock-free, monotone, gap-free —
-    /// provisioning workers hammer this concurrently.
-    fn next_nonce(&self) -> u64 {
+    /// provisioning workers hammer this concurrently. Full and delta
+    /// ([`crate::delta`]) frames draw from this one counter, so the
+    /// nonce-sequence invariants tests pin hold across both packagers.
+    pub(crate) fn next_nonce(&self) -> u64 {
         self.nonce_counter.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Crate-internal nonce access for the delta packager
-    /// ([`crate::delta`]): full and delta frames draw from the same
-    /// gap-free counter, so the nonce-sequence invariants tests pin
-    /// hold across both paths.
-    pub(crate) fn draw_nonce(&self) -> u64 {
-        self.next_nonce()
     }
 
     /// Crate-internal KMU access for the delta packager.
@@ -262,33 +211,7 @@ impl SoftwareSource {
         cred: &EnrollmentRecord,
         config: &EncryptionConfig,
     ) -> Result<Package, EricError> {
-        self.build_timed(asm_source, cred, config).map(|(p, _)| p)
-    }
-
-    /// [`SoftwareSource::build`], also reporting the wall-clock
-    /// breakdown used for the compile-time experiment.
-    ///
-    /// # Errors
-    ///
-    /// Compilation or configuration errors.
-    pub fn build_timed(
-        &self,
-        asm_source: &str,
-        cred: &EnrollmentRecord,
-        config: &EncryptionConfig,
-    ) -> Result<(Package, BuildTimings), EricError> {
-        config.validate().map_err(EricError::Config)?;
-        let mut timings = BuildTimings::default();
-
-        let t0 = Instant::now();
-        let image = self.compile(asm_source, config.compress)?;
-        timings.compile = t0.elapsed();
-
-        let (package, rest) = self.package_image(&image, cred, config)?;
-        timings.sign = rest.sign;
-        timings.encrypt = rest.encrypt;
-        timings.package = rest.package;
-        Ok((package, timings))
+        self.build_with(asm_source, cred, config, Ok)
     }
 
     /// Compile, run a caller-supplied plaintext transformation over
@@ -299,7 +222,12 @@ impl SoftwareSource {
     /// passes (an `eric-obf` pipeline) before the HDE encryption
     /// layer; [`SoftwareSource::prepare_image`] accepts any image, so
     /// the two layers compose without special cases. The identity
-    /// closure makes this equivalent to [`SoftwareSource::build`].
+    /// closure makes this [`SoftwareSource::build`].
+    ///
+    /// A build is a batch of one: [`SoftwareSource::prepare_image`]
+    /// followed by [`SoftwareSource::package_prepared`], the same two
+    /// halves batch provisioning calls separately so the preparation
+    /// is paid once per image instead of once per device.
     ///
     /// # Errors
     ///
@@ -336,39 +264,8 @@ impl SoftwareSource {
     {
         config.validate().map_err(EricError::Config)?;
         let image = transform(self.compile(asm_source, config.compress)?)?;
-        self.package_image(&image, cred, config).map(|(p, _)| p)
-    }
-
-    /// Sign/encrypt/package an already-compiled image.
-    ///
-    /// A batch of one: [`SoftwareSource::prepare_image`] followed by
-    /// [`SoftwareSource::package_prepared`]. Batch provisioning calls
-    /// the two halves separately so the preparation is paid once per
-    /// image instead of once per device.
-    ///
-    /// # Errors
-    ///
-    /// Configuration errors (e.g. field-level on a compressed image),
-    /// or an enrollment record from a different key epoch than the
-    /// configuration targets.
-    pub fn package_image(
-        &self,
-        image: &Image,
-        cred: &EnrollmentRecord,
-        config: &EncryptionConfig,
-    ) -> Result<(Package, BuildTimings), EricError> {
-        let prepared = self.prepare_image(image, config)?;
-        let (package, mut timings) = self.package_prepared(&prepared, cred)?;
-        // Single-device accounting folds map construction into the
-        // encrypt phase, as the pre-batch pipeline did.
-        timings.encrypt += prepared.prepare_time;
-        // Serialize once to account packaging cost (Figure 6 measures
-        // the full source-side pipeline). The batch fan-out skips this
-        // — packages are serialized when they actually hit the wire.
-        let t = Instant::now();
-        let _wire = package.to_wire();
-        timings.package = t.elapsed();
-        Ok((package, timings))
+        let prepared = self.prepare_image(&image, config)?;
+        self.package_prepared(&prepared, cred).map(|(p, _)| p)
     }
 
     /// The device-independent half of packaging: validate the
@@ -454,151 +351,56 @@ impl SoftwareSource {
         })
     }
 
-    /// The per-device half of packaging: allocate a fresh nonce, sign,
-    /// and encrypt with the device's PUF-derived per-package key.
+    /// The per-device half of packaging as a parsed [`Package`]:
+    /// [`SoftwareSource::package_prepared_into`] into a fresh buffer,
+    /// then [`Package::from_wire`] over the frame it wrote.
+    ///
+    /// Callers that transmit the frame should call
+    /// [`SoftwareSource::package_prepared_into`] with a reused buffer
+    /// instead: this wrapper allocates the frame and the parsed
+    /// payload for every package.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SoftwareSource::package_prepared_into`].
+    pub fn package_prepared(
+        &self,
+        prepared: &PreparedImage,
+        cred: &EnrollmentRecord,
+    ) -> Result<(Package, PackagedFrame), EricError> {
+        let mut frame = Vec::new();
+        let info = self.package_prepared_into(prepared, cred, &mut frame)?;
+        Ok((Package::from_wire(&frame)?, info))
+    }
+
+    /// The per-device half of packaging, and the one place a full
+    /// frame is signed and encrypted: draw a fresh nonce, then sign,
+    /// encrypt under the device's PUF-derived per-package key, and
+    /// serialize straight into a reusable transmit buffer, with **no
+    /// payload-sized allocation anywhere on the path**:
+    ///
+    /// 1. the cleartext header lands in `out` first, and because the
+    ///    header encoding *is* the AAD encoding (one shared writer),
+    ///    the signature is computed over `&out[..aad_len]` in place —
+    ///    v1 hashes `AAD ‖ payload` per device, v2 only folds the
+    ///    shared plaintext leaves into the AAD-bound Merkle root;
+    /// 2. the shared plaintext payload is keystream-XORed into the
+    ///    frame as it is copied ([`transform_payload_into`]), and the
+    ///    manifest leaves are encrypted in place after being appended.
     ///
     /// Thread-safe: many workers may call this concurrently on one
     /// shared [`PreparedImage`]; each call draws a unique nonce from
-    /// the source's counter. No wire serialization happens here (the
-    /// returned `BuildTimings::package` is zero) — batch callers
-    /// serialize at transmission time, and
-    /// [`SoftwareSource::package_image`] accounts it for the
-    /// single-device measurement.
+    /// the source's counter. The buffer is cleared and reserved to the
+    /// exact frame length, so a warm buffer from a previous
+    /// same-geometry frame is refilled allocation-free.
     ///
     /// # Errors
     ///
     /// [`EricError::Config`] when `cred` was enrolled at a different
     /// key epoch than the preparation targets — the device would
     /// derive a different key and reject the package, so the mismatch
-    /// is caught at the source instead.
-    pub fn package_prepared(
-        &self,
-        prepared: &PreparedImage,
-        cred: &EnrollmentRecord,
-    ) -> Result<(Package, BuildTimings), EricError> {
-        if cred.epoch != prepared.epoch {
-            return Err(EricError::Config(format!(
-                "credential for {:?} is from epoch {} but the package targets epoch {}",
-                cred.device_id, cred.epoch, prepared.epoch
-            )));
-        }
-        let mut timings = BuildTimings::default();
-        let nonce = self.next_nonce();
-
-        // Construct the package skeleton so the AAD can be signed. The
-        // placeholder signature block must already be the right
-        // variant: the AAD binds the wire magic, which is derived from
-        // the scheme.
-        let placeholder = match &prepared.signature_plan {
-            SignaturePlan::Single => SignatureBlock::Single {
-                encrypted_digest: [0; 32],
-            },
-            SignaturePlan::Segmented { segment_len, .. } => SignatureBlock::Segmented {
-                encrypted_root: [0; 32],
-                manifest: SegmentManifest::new(*segment_len, Vec::new()),
-            },
-        };
-        let mut package = Package {
-            cipher: prepared.cipher,
-            policy: prepared.policy,
-            epoch: prepared.epoch,
-            nonce,
-            challenge: cred.challenge.as_bytes().to_vec(),
-            text_base: prepared.text_base,
-            data_base: prepared.data_base,
-            entry: prepared.entry,
-            text_len: prepared.text_len,
-            map: prepared.map.clone(),
-            signature: placeholder,
-            payload: prepared.payload.clone(),
-        };
-
-        // Sign. The AAD binds the nonce and challenge, so this is
-        // per-device work — but its *cost* differs by scheme: v1
-        // re-hashes the whole payload per device, v2 only folds the
-        // shared plaintext leaves into the AAD-bound Merkle root.
-        let t = Instant::now();
-        let signature = match &prepared.signature_plan {
-            SignaturePlan::Single => {
-                let mut hasher = Sha256::new();
-                hasher.update(&package.aad());
-                hasher.update(&package.payload);
-                hasher.finalize()
-            }
-            SignaturePlan::Segmented {
-                segment_len,
-                leaves,
-            } => signed_root(&package.aad(), *segment_len, leaves),
-        };
-        timings.sign = t.elapsed();
-
-        // Encrypt payload and signature material with the per-package
-        // key; v2 additionally encrypts the manifest leaves as a
-        // keystream continuation after the root.
-        let t = Instant::now();
-        let key = self.kmu.package_key(&cred.key, nonce);
-        let cipher = prepared.cipher.instantiate(key.as_bytes());
-        let payload_len = package.payload.len();
-        transform_payload(
-            &mut package.payload,
-            &package.map,
-            package.policy,
-            package.text_len as usize,
-            cipher.as_ref(),
-        );
-        let mut sig_bytes = *signature.as_bytes();
-        transform_signature(&mut sig_bytes, payload_len, cipher.as_ref());
-        package.signature = match &prepared.signature_plan {
-            SignaturePlan::Single => SignatureBlock::Single {
-                encrypted_digest: sig_bytes,
-            },
-            SignaturePlan::Segmented {
-                segment_len,
-                leaves,
-            } => {
-                let mut enc_leaves: Vec<[u8; 32]> = leaves.iter().map(|d| *d.as_bytes()).collect();
-                transform_manifest_leaves(&mut enc_leaves, payload_len, cipher.as_ref());
-                SignatureBlock::Segmented {
-                    encrypted_root: sig_bytes,
-                    manifest: SegmentManifest::new(*segment_len, enc_leaves),
-                }
-            }
-        };
-        timings.encrypt = t.elapsed();
-
-        Ok((package, timings))
-    }
-
-    /// Zero-copy variant of [`SoftwareSource::package_prepared`]:
-    /// sign, encrypt, and serialize straight into a reusable transmit
-    /// buffer, with **no payload-sized allocation anywhere on the
-    /// path**.
-    ///
-    /// Where [`SoftwareSource::package_prepared`] clones the shared
-    /// plaintext payload (and the leaf table) into a [`Package`] that
-    /// a caller then serializes with yet another allocation, this
-    /// writes the wire frame directly:
-    ///
-    /// 1. the cleartext header lands in `out` first, and because the
-    ///    header encoding *is* the AAD encoding (one shared writer),
-    ///    the signature is computed over `&out[..aad_len]` in place;
-    /// 2. the shared plaintext payload is keystream-XORed into the
-    ///    frame as it is copied ([`transform_payload_into`]), and the
-    ///    manifest leaves are encrypted in place after being appended.
-    ///
-    /// The buffer is cleared and reserved to the exact frame length,
-    /// so a warm buffer from a previous same-geometry frame is
-    /// refilled allocation-free. The frame parses back with
-    /// [`Package::from_wire`] byte-identical to the clone-and-serialize
-    /// path — the property suite pins the two paths against each
-    /// other.
-    ///
-    /// # Errors
-    ///
-    /// [`EricError::Config`] when `cred` was enrolled at a different
-    /// key epoch than the preparation targets (same contract as
-    /// [`SoftwareSource::package_prepared`]). On error the buffer is
-    /// left cleared, never with a partial frame.
+    /// is caught at the source instead. On error the buffer is left
+    /// cleared, never with a partial frame, and no nonce is drawn.
     ///
     /// # Examples
     ///
@@ -756,6 +558,9 @@ impl SoftwareSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eric_crypto::cipher::CipherKind;
+    use eric_hde::manifest::SignatureBlock;
+    use eric_hde::transform::transform_payload_bytewise;
     use eric_puf::crp::{respond, Challenge};
     use eric_puf::device::{PufDevice, PufDeviceConfig};
 
@@ -880,16 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn timings_are_populated() {
-        let src = SoftwareSource::new("vendor");
-        let (_, t) = src
-            .build_timed(PROGRAM, &cred(5), &EncryptionConfig::full())
-            .unwrap();
-        assert!(t.compile > Duration::ZERO);
-        assert!(t.total() >= t.compile);
-    }
-
-    #[test]
     fn stale_epoch_credential_rejected_at_source() {
         let src = SoftwareSource::new("vendor");
         let mut stale = cred(7);
@@ -947,39 +742,121 @@ mod tests {
         assert_ne!(ma.leaves(), mb.leaves());
     }
 
+    /// The frame `package_prepared_into` must write for `plain` under
+    /// `config`, built only from the reference implementations: the
+    /// per-byte keystream (`keystream_byte`,
+    /// `transform_payload_bytewise`), one `leaf_digest` per segment and
+    /// a streaming `Sha256` for v1. Returns the frame and its AAD.
+    fn oracle_frame(
+        plain: &[u8],
+        image: &Image,
+        map: &CoverageMap,
+        config: &EncryptionConfig,
+        cred: &EnrollmentRecord,
+        nonce: u64,
+    ) -> (Vec<u8>, Vec<u8>) {
+        let policy = match config.mode {
+            EncryptionMode::FieldLevel(policy) => Some(policy),
+            _ => None,
+        };
+        let leaves: Option<(u32, Vec<Digest>)> = match config.signature {
+            SignatureScheme::Single => None,
+            SignatureScheme::Segmented { segment_len } => Some((
+                segment_len,
+                plain
+                    .chunks(segment_len as usize)
+                    .enumerate()
+                    .map(|(i, segment)| tree::leaf_digest(i as u64, segment))
+                    .collect(),
+            )),
+        };
+        let mut aad = Vec::new();
+        FrameHeader {
+            magic: if leaves.is_some() { MAGIC_V2 } else { MAGIC_V1 },
+            cipher: config.cipher,
+            policy,
+            epoch: config.epoch,
+            nonce,
+            text_base: image.text_base,
+            data_base: image.data_base,
+            entry: image.entry,
+            text_len: image.text.len() as u32,
+            payload_len: plain.len() as u32,
+        }
+        .write(&mut aad);
+        write_challenge(&mut aad, cred.challenge.as_bytes());
+
+        let key = KeyManagementUnit::new().package_key(&cred.key, nonce);
+        let cipher = config.cipher.instantiate(key.as_bytes());
+        // Encrypt `bytes` as keystream positions `at..`, one byte at a time.
+        let encrypt_at = |at: usize, bytes: &[u8]| -> Vec<u8> {
+            let positions = at as u64..;
+            bytes
+                .iter()
+                .zip(positions)
+                .map(|(b, pos)| b ^ cipher.keystream_byte(pos))
+                .collect()
+        };
+        let signature = match &leaves {
+            None => {
+                let mut hasher = Sha256::new();
+                hasher.update(&aad);
+                hasher.update(plain);
+                hasher.finalize()
+            }
+            Some((segment_len, leaves)) => signed_root(&aad, *segment_len, leaves),
+        };
+
+        let mut frame = aad.clone();
+        write_map(&mut frame, map);
+        frame.extend(encrypt_at(plain.len(), signature.as_bytes()));
+        if let Some((segment_len, leaves)) = &leaves {
+            frame.extend_from_slice(&segment_len.to_le_bytes());
+            frame.extend_from_slice(&(leaves.len() as u32).to_le_bytes());
+            for (i, leaf) in leaves.iter().enumerate() {
+                frame.extend(encrypt_at(plain.len() + 32 + 32 * i, leaf.as_bytes()));
+            }
+        }
+        let mut payload = plain.to_vec();
+        transform_payload_bytewise(&mut payload, map, policy, image.text.len(), cipher.as_ref());
+        frame.extend(payload);
+        (frame, aad)
+    }
+
     #[test]
-    fn zero_copy_frames_match_clone_path_byte_for_byte() {
-        // Two fresh sources draw the same nonce sequence and the KMU
-        // derivation is deterministic, so the clone-and-serialize path
-        // and the zero-copy path must produce identical wire bytes for
-        // every scheme × mode combination.
-        let program = ".data\nbuf: .zero 100\n.text\nmain:\n li a0, 1\n li a7, 93\n ecall\n";
-        let configs = [
+    fn zero_copy_frames_match_the_reference_oracles() {
+        // Memory instructions give the field-level policy fields to
+        // mask; the data section and 16-byte segments give several
+        // leaves and a ragged tail.
+        let program = ".data\nbuf: .zero 100\n.text\nmain:\n la a1, buf\n li a0, 1\n \
+                       sd a0, 8(a1)\n ld a0, 8(a1)\n li a7, 93\n ecall\n";
+        let modes = [
             EncryptionConfig::full(),
-            EncryptionConfig::full().with_legacy_signature(),
             EncryptionConfig::partial(0.5, 7),
-            EncryptionConfig::partial(0.5, 7).with_legacy_signature(),
             EncryptionConfig::field_level(eric_hde::FieldPolicy::MemoryPointers),
         ];
         let mut frame = vec![0xA5; 17]; // dirty + reused across configs
-        for config in &configs {
-            let clone_src = SoftwareSource::new("vendor");
-            let zc_src = SoftwareSource::new("vendor");
-            let image = clone_src.compile(program, config.compress).unwrap();
-            let clone_prep = clone_src.prepare_image(&image, config).unwrap();
-            let zc_prep = zc_src.prepare_image(&image, config).unwrap();
-            for seed in [31, 32] {
-                let c = cred(seed);
-                let (pkg, _) = clone_src.package_prepared(&clone_prep, &c).unwrap();
-                let info = zc_src
-                    .package_prepared_into(&zc_prep, &c, &mut frame)
-                    .unwrap();
-                assert_eq!(frame, pkg.to_wire(), "config {config:?}");
-                assert_eq!(info.wire_len, pkg.wire_len());
-                assert_eq!(info.nonce, pkg.nonce);
-                assert_eq!(&frame[..info.aad_len], &pkg.aad()[..], "aad prefix");
-                // And the frame parses back to the identical package.
-                assert_eq!(Package::from_wire(&frame).unwrap(), pkg);
+        for mode in modes {
+            for cipher in [CipherKind::Xor, CipherKind::ShaCtr] {
+                let mode = mode.clone().with_cipher(cipher);
+                for config in [mode.clone().with_legacy_signature(), mode.with_segments(16)] {
+                    let src = SoftwareSource::new("vendor");
+                    let image = src.compile(program, config.compress).unwrap();
+                    let plain = [&image.text[..], &image.data[..]].concat();
+                    let prepared = src.prepare_image(&image, &config).unwrap();
+                    for (nonce, seed) in [(1, 31), (2, 32)] {
+                        let c = cred(seed);
+                        let info = src
+                            .package_prepared_into(&prepared, &c, &mut frame)
+                            .unwrap();
+                        let (want, aad) =
+                            oracle_frame(&plain, &image, prepared.map(), &config, &c, nonce);
+                        assert!(frame == want, "config {config:?}, nonce {nonce}");
+                        assert_eq!(info.nonce, nonce);
+                        assert_eq!(info.wire_len, frame.len());
+                        assert_eq!(&frame[..info.aad_len], &aad[..], "aad prefix");
+                    }
+                }
             }
         }
     }

@@ -7,18 +7,17 @@
 //! `⌈len/n⌉` bytes at their own absolute offsets, and each lane fills
 //! whole keystream blocks for its chunk via the block cipher API.
 //!
-//! [`map_segments`] is the lane pool itself: it tiles a payload into
-//! fixed-size segments, groups contiguous segments per lane, and runs
-//! a caller-supplied per-segment function on `std::thread::scope`
-//! threads, returning one result per segment in order. The secure
-//! loader drives it with a decrypt-and-leaf-hash closure for segmented
-//! (v2) packages; [`decrypt_parallel`] is the thin decrypt-only
-//! wrapper kept for the ablation bench and as the simplest possible
-//! usage example. [`parallel_cycles`] is the matching *cycle model*
-//! (what an n-lane HDE would cost in hardware).
+//! [`map_lane_blocks`] is the lane pool itself: it tiles a payload
+//! into fixed-size segments, groups contiguous segments into one block
+//! per lane, and runs a caller-supplied per-block function on
+//! `std::thread::scope` threads, concatenating the results in segment
+//! order. The secure loader drives it with a decrypt-and-leaf-hash
+//! closure for segmented (v2) packages, and the parallel-decrypt
+//! ablation bench with a decrypt-only closure over one block per lane.
+//! [`parallel_cycles`] is the matching *cycle model* (what an n-lane
+//! HDE would cost in hardware).
 
 use crate::timing::HdeTimingConfig;
-use eric_crypto::cipher::KeystreamCipher;
 
 /// Modeled cycles for an `lanes`-wide decrypt of `bytes` under the
 /// *monolithic* (v1) signature scheme.
@@ -51,10 +50,11 @@ pub fn parallel_cycles(timing: &HdeTimingConfig, bytes: usize, lanes: usize) -> 
 /// segments — the secure loader decrypts a lane block chunk-wise and
 /// then leaf-hashes all of its full segments through the multi-buffer
 /// SHA-256 engine in one call, which a per-segment closure could never
-/// express. [`map_segments`] is the per-segment convenience wrapper.
-/// With one lane (or a single segment) everything runs inline on the
-/// caller's thread: no spawn, deterministic, and the natural baseline
-/// for scaling measurements.
+/// express. Every block sees its true absolute payload offset, which
+/// is all a keystream cipher or a coverage map needs to produce output
+/// bit-identical to a sequential pass. With one lane (or a single
+/// segment) everything runs inline on the caller's thread: no spawn,
+/// deterministic, and the natural baseline for scaling measurements.
 ///
 /// # Panics
 ///
@@ -94,66 +94,40 @@ where
     })
 }
 
-/// Tile `payload` into `segment_len`-byte segments (the last may be
-/// shorter) and run `f(segment_index, absolute_offset, segment)` for
-/// every segment across up to `lanes` scoped OS threads, returning one
-/// result per segment in segment order.
-///
-/// Each lane owns a *contiguous* block of `⌈segments/lanes⌉` segments,
-/// so the payload is handed out as disjoint `&mut` chunks with no
-/// locking, and every segment sees its true absolute payload offset —
-/// which is all a keystream cipher or a coverage map needs to produce
-/// output bit-identical to a sequential pass. A thin per-segment
-/// wrapper over [`map_lane_blocks`].
-///
-/// # Panics
-///
-/// Panics if `lanes` or `segment_len` is zero, or if a lane's closure
-/// panics.
-pub fn map_segments<T, F>(payload: &mut [u8], segment_len: usize, lanes: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize, &mut [u8]) -> T + Sync,
-{
-    map_lane_blocks(payload, segment_len, lanes, |first, start, block| {
-        block
-            .chunks_mut(segment_len)
-            .enumerate()
-            .map(|(j, segment)| f(first + j, start + j * segment_len, segment))
-            .collect()
-    })
-}
-
-/// Decrypt `payload` in place using `lanes` OS threads, each applying
-/// the keystream to its own chunk at the correct absolute offset.
-///
-/// A thin wrapper over [`map_segments`] with `⌈len/lanes⌉`-byte
-/// segments (one per lane) and a decrypt-only closure. Produces
-/// bit-identical output to the sequential transform (full coverage, no
-/// field policy — the parallel path is modeled for the full-encryption
-/// configuration, where chunk boundaries cannot split a masked field).
-///
-/// # Panics
-///
-/// Panics if `lanes` is zero.
-pub fn decrypt_parallel<C>(payload: &mut [u8], cipher: &C, lanes: usize)
-where
-    C: KeystreamCipher + Sync + ?Sized,
-{
-    assert!(lanes > 0, "at least one decryption lane required");
-    if payload.is_empty() {
-        return;
-    }
-    let chunk = payload.len().div_ceil(lanes);
-    map_segments(payload, chunk, lanes, |_, offset, slice| {
-        cipher.apply(offset as u64, slice);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eric_crypto::cipher::{ShaCtrCipher, XorCipher};
+    use eric_crypto::cipher::{KeystreamCipher, ShaCtrCipher, XorCipher};
+
+    /// Decrypt `payload` in place with one lane block per lane, each
+    /// applying the keystream at its absolute offset (the shape the
+    /// parallel-decrypt ablation drives).
+    fn decrypt_on_lanes<C>(payload: &mut [u8], cipher: &C, lanes: usize)
+    where
+        C: KeystreamCipher + Sync + ?Sized,
+    {
+        let per_lane = payload.len().div_ceil(lanes).max(1);
+        map_lane_blocks(payload, per_lane, lanes, |_, offset, block| {
+            cipher.apply(offset as u64, block);
+            Vec::<()>::new()
+        });
+    }
+
+    /// `f(segment_index, absolute_offset, segment)` for every
+    /// `segment_len`-byte segment, one result per segment in order.
+    fn map_each_segment<T, F>(payload: &mut [u8], segment_len: usize, lanes: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, usize, &mut [u8]) -> T + Sync,
+    {
+        map_lane_blocks(payload, segment_len, lanes, |first, start, block| {
+            block
+                .chunks_mut(segment_len)
+                .enumerate()
+                .map(|(j, segment)| f(first + j, start + j * segment_len, segment))
+                .collect()
+        })
+    }
 
     #[test]
     fn parallel_matches_sequential_xor() {
@@ -163,7 +137,7 @@ mod tests {
         cipher.apply(0, &mut sequential);
         for lanes in 1..=16 {
             let mut parallel = original.clone();
-            decrypt_parallel(&mut parallel, &cipher, lanes);
+            decrypt_on_lanes(&mut parallel, &cipher, lanes);
             assert_eq!(parallel, sequential, "{lanes} lanes");
         }
     }
@@ -180,7 +154,7 @@ mod tests {
             cipher.apply(0, &mut sequential);
             for lanes in 1..=16 {
                 let mut parallel = original.clone();
-                decrypt_parallel(&mut parallel, &cipher, lanes);
+                decrypt_on_lanes(&mut parallel, &cipher, lanes);
                 assert_eq!(parallel, sequential, "len {len}, {lanes} lanes");
             }
         }
@@ -193,7 +167,7 @@ mod tests {
         let mut sequential = original.clone();
         cipher.apply(0, &mut sequential);
         let mut parallel = original.clone();
-        decrypt_parallel(&mut parallel, &cipher, 16); // lanes > len
+        decrypt_on_lanes(&mut parallel, &cipher, 16); // lanes > len
         assert_eq!(parallel, sequential);
     }
 
@@ -204,7 +178,7 @@ mod tests {
         let mut sequential = original.clone();
         boxed.apply(0, &mut sequential);
         let mut parallel = original.clone();
-        decrypt_parallel::<dyn KeystreamCipher + Send + Sync>(&mut parallel, boxed.as_ref(), 4);
+        decrypt_on_lanes::<dyn KeystreamCipher + Send + Sync>(&mut parallel, boxed.as_ref(), 4);
         assert_eq!(parallel, sequential);
     }
 
@@ -215,7 +189,7 @@ mod tests {
         let mut sequential = original.clone();
         cipher.apply(0, &mut sequential);
         let mut parallel = original.clone();
-        decrypt_parallel(&mut parallel, &cipher, 4);
+        decrypt_on_lanes(&mut parallel, &cipher, 4);
         assert_eq!(parallel, sequential);
     }
 
@@ -242,7 +216,7 @@ mod tests {
     fn empty_payload_is_noop() {
         let cipher = XorCipher::new(&[9]);
         let mut empty: Vec<u8> = vec![];
-        decrypt_parallel(&mut empty, &cipher, 4);
+        decrypt_on_lanes(&mut empty, &cipher, 4);
         assert!(empty.is_empty());
     }
 
@@ -253,7 +227,7 @@ mod tests {
         for len in [1usize, 7, 8, 9, 64, 65, 100] {
             let mut buf: Vec<u8> = (0..len).map(|i| i as u8).collect();
             for lanes in 1..=6 {
-                let out = map_segments(&mut buf, 8, lanes, |index, offset, segment| {
+                let out = map_each_segment(&mut buf, 8, lanes, |index, offset, segment| {
                     (index, offset, segment.len(), segment[0])
                 });
                 assert_eq!(out.len(), len.div_ceil(8), "len {len}, {lanes} lanes");
@@ -299,7 +273,7 @@ mod tests {
         let len = 1000;
         for lanes in [1usize, 2, 3, 4, 7, 16] {
             let mut buf = vec![0u8; len];
-            map_segments(&mut buf, 96, lanes, |_, _, segment| {
+            map_each_segment(&mut buf, 96, lanes, |_, _, segment| {
                 for b in segment.iter_mut() {
                     *b += 1;
                 }

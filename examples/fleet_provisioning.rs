@@ -73,9 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Batch-provision the fleet: compile once, fan the per-device
     // sign/encrypt/package work across the daemon's resident pool — a
-    // sharded worker pool fed by a submission queue, serving repeated
-    // preparations from the epoch-keyed cache and packaging zero-copy
-    // into recycled transmit buffers.
+    // worker pool fed by a submission queue, where each worker claims
+    // the next device of a batch from one shared cursor, serving
+    // repeated preparations from the epoch-keyed cache and packaging
+    // zero-copy into recycled transmit buffers.
     let daemon = ProvisioningDaemon::start(SoftwareSource::new("fleet-vendor"), 4);
     let image = daemon.source().compile(FIRMWARE, false)?;
     let creds: Vec<_> = fleet.iter_mut().map(Device::enroll).collect();
@@ -169,7 +170,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         );
     }
-    let stats = daemon.cache_stats();
+    let stats = daemon.cache().stats();
     println!(
         "daemon cache: {} hits / {} misses; {} transmit buffers ever allocated \
          for {} packages",

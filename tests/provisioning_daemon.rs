@@ -1,6 +1,6 @@
 //! Lifecycle tests for the resident provisioning daemon: backpressure
-//! bounds, work stealing under skew, cache invalidation across
-//! credential rotation, clean drain/shutdown, a submission racing
+//! bounds, a stalled device that holds back only itself, cache
+//! invalidation across credential rotation, clean drain/shutdown, a submission racing
 //! shutdown, ordered live health snapshots, and seeded schedule
 //! perturbation.
 //!
@@ -9,10 +9,10 @@
 
 use eric::core::{
     BatchHandle, Channel, Device, EncryptionConfig, EricError, Package, ProvisioningDaemon,
-    RecvTimeout, ShardQueue, SoftwareSource, SubmitError,
+    RecvTimeout, SoftwareSource, SubmitError,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
 const PROGRAM: &str = "main:\n li a0, 41\n addi a0, a0, 1\n li a7, 93\n ecall\n";
@@ -64,48 +64,62 @@ fn backpressure_bounds_buffers_under_a_slow_consumer() {
     daemon.shutdown();
 }
 
-/// A worker whose home shard is tiny steals from the longest shard
-/// instead of idling: every index is claimed exactly once and the
-/// short-shard worker provably claims work beyond its own range.
+/// A worker stalled on one device holds only that device: while the
+/// packaging hook parks device 0, the other workers claim and deliver
+/// every other device of the batch, and device 0 arrives once it is
+/// released.
 ///
-/// The home-1 worker is held until worker 0 has claimed its own 2
-/// indices plus one stolen one, so a schedule that runs the two
-/// threads back to back cannot drain shard 1 before worker 0 starts;
-/// after that both threads race for the rest of shard 1.
+/// The hook waits for the release with a bound, so a failing run ends
+/// instead of hanging the daemon's join.
 #[test]
-fn work_stealing_rebalances_skewed_shards() {
-    // Shard 0 holds 2 indices, shard 1 holds 198.
-    let queue = ShardQueue::from_ranges(&[(0, 2), (2, 200)]);
-    let claimed_by_zero = AtomicUsize::new(0);
-    let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
-    std::thread::scope(|scope| {
-        for home in 0..2 {
-            let (queue, hits, claimed_by_zero) = (&queue, &hits, &claimed_by_zero);
-            scope.spawn(move || {
-                if home == 1 {
-                    // The count only gates progress; it publishes no data.
-                    while claimed_by_zero.load(Ordering::Relaxed) < 3 {
-                        std::thread::yield_now();
-                    }
-                }
-                while let Some(i) = queue.pop(home) {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                    if home == 0 {
-                        claimed_by_zero.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
+fn a_stalled_device_holds_back_only_itself() {
+    const DEVICES: usize = 16;
+    let (_, creds) = fleet(DEVICES, 3900);
+    let daemon = ProvisioningDaemon::start(SoftwareSource::new("vendor"), matrix_workers().max(2));
+    let image = daemon.source().compile(PROGRAM, false).unwrap();
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    daemon.set_packaging_hook(Some(Arc::new(move |index| {
+        if index == 0 {
+            parked_tx.send(()).unwrap();
+            let _ = release_rx
+                .lock()
+                .unwrap()
+                .recv_timeout(Duration::from_secs(30));
         }
-    });
-    assert!(queue.is_drained());
-    assert!(
-        hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-        "some index claimed zero or multiple times"
-    );
-    assert!(
-        claimed_by_zero.load(Ordering::Relaxed) > 2,
-        "the short-shard worker never stole"
-    );
+    })));
+    let handle = daemon
+        .submit(&image, &EncryptionConfig::full(), creds)
+        .unwrap();
+    parked_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("device 0 never reached packaging");
+
+    let mut seen = [false; DEVICES];
+    for _ in 1..DEVICES {
+        match handle.recv_timeout(Duration::from_secs(10)) {
+            RecvTimeout::Outcome(outcome) => {
+                assert_ne!(outcome.index, 0, "device 0 arrived while parked");
+                assert!(!std::mem::replace(&mut seen[outcome.index], true));
+                handle.recycle(outcome.result.unwrap());
+            }
+            other => panic!("a device waited behind parked device 0: {other:?}"),
+        }
+    }
+    release_tx.send(()).unwrap();
+    match handle.recv_timeout(Duration::from_secs(10)) {
+        RecvTimeout::Outcome(outcome) => {
+            assert_eq!(outcome.index, 0);
+            handle.recycle(outcome.result.unwrap());
+        }
+        other => panic!("released device 0 never arrived: {other:?}"),
+    }
+    assert!(matches!(
+        handle.recv_timeout(Duration::from_secs(10)),
+        RecvTimeout::Complete
+    ));
+    daemon.shutdown();
 }
 
 /// Credential rotation end to end: the rotated config misses the
