@@ -2008,7 +2008,8 @@ pub struct OtaRow {
     pub package_full_ms: f64,
     /// Wall clock to diff + package the delta frame, milliseconds.
     pub package_delta_ms: f64,
-    /// Wall clock to apply + re-verify the delta on device,
+    /// Wall clock to apply the delta on device (authenticate the
+    /// rebuilt leaf table, decrypt and check the shipped segments),
     /// milliseconds.
     pub apply_ms: f64,
     /// Wall clock to stream-verify the full frame, milliseconds.
@@ -2030,9 +2031,9 @@ pub struct OtaReport {
 /// For each size in `image_kib`: build a base image, flip one data
 /// word in the middle (one changed segment), diff the prepared images
 /// into an `ERIC2D` delta, and compare wire bytes against a full
-/// `ERIC2` frame of the new version. The patched image is re-verified
-/// against a clean full install (fingerprint equality — the
-/// correctness gate, not a sample), and the full frame is also
+/// `ERIC2` frame of the new version. The patched image's fingerprint
+/// must equal a clean full install's (the correctness gate, not a
+/// sample), and the full frame is also
 /// stream-verified through [`StreamingLoader`](eric_hde::StreamingLoader)
 /// to capture the peak-working-set column.
 pub fn ota_updates(image_kib: &[usize], segment_len: u32) -> OtaReport {

@@ -3,12 +3,14 @@
 //! A segmented (`ERIC2`) build already digests the payload per segment,
 //! so two prepared images can be diffed at segment granularity by
 //! comparing their plaintext leaf tables. The vendor frames only the
-//! changed segments in an **`ERIC2D`** delta frame; the device patches
-//! its installed plaintext, recomputes the Merkle root from its *cached
-//! sibling digests* plus the shipped replacement leaves, and accepts the
-//! update only after the patched image re-verifies end to end. For a
-//! fleet-wide 1%-of-segments fix this turns a full-image push into a
-//! frame a couple of orders of magnitude smaller.
+//! changed segments in an **`ERIC2D`** delta frame; the device rebuilds
+//! the new leaf table from its *cached sibling digests* plus the
+//! shipped replacement leaves, authenticates it against the signed
+//! root, checks each shipped segment against its leaf, and keeps every
+//! other segment of its installed plaintext. For a fleet-wide
+//! 1%-of-segments fix this turns a full-image push into a frame a
+//! couple of orders of magnitude smaller, and the device's work shrinks
+//! with it.
 //!
 //! # The `ERIC2D` wire frame
 //!
@@ -48,12 +50,46 @@
 //! # Fail-closed patching
 //!
 //! [`Device::apply_delta`](crate::Device::apply_delta) authenticates
-//! the reconstructed manifest *before* decrypting any payload byte,
-//! verifies each patched segment against its authenticated leaf, and
-//! finally re-hashes the **entire** patched image against the signed
-//! root. The installed image is borrowed immutably and a new
-//! [`InstalledImage`] is returned only on full success — there is no
-//! partially-patched state to observe, on any error path.
+//! the reconstructed manifest *before* decrypting any payload byte and
+//! verifies each patched segment against its authenticated leaf. The
+//! installed image is borrowed immutably and a new [`InstalledImage`]
+//! is returned only on full success — there is no partially-patched
+//! state to observe, on any error path.
+//!
+//! # A delta costs what it changes
+//!
+//! The patched image owns one new buffer per shipped segment and shares
+//! every other segment with its base, so a 3-segment delta to a 1 MiB
+//! image allocates 3 segments, not 1 MiB. Its leaf table and
+//! fingerprint are the authenticated table and the root authentication
+//! folded: one Merkle fold per delta, and no second hash of the image.
+//! Whatever its delta history, an image pins at most twice its payload:
+//! the buffer it was installed from, while a segment still shares it,
+//! plus one buffer per shipped segment. A kept segment whose buffer is
+//! longer than the new payload (the install buffer, after a shrink) is
+//! copied out rather than shared.
+//!
+//! The device does not re-hash the patched image, because that would
+//! guard nothing it relies on:
+//!
+//! * every byte of an [`InstalledImage`] was decrypted by this device's
+//!   HDE and matched an authenticated leaf when it arrived, at install
+//!   or in the delta that shipped it;
+//! * its storage is crate-private and never mutated afterwards: a delta
+//!   builds a new image, sharing the base's segments, never writing
+//!   them;
+//! * [`Device::run_installed`](crate::Device::run_installed) already
+//!   executes an installed image without re-hashing it.
+//!
+//! The paper's HDE keeps a program encrypted "until [it is] loaded into
+//! the main memory for execution" (§III-2) and trusts the plaintext it
+//! releases there. The cached leaves live in that same memory, so an
+//! attacker who could rewrite the plaintext could rewrite the leaves
+//! too, and a re-hash against them would not stop it. The re-hash
+//! stays as an oracle in debug builds: `apply` hashes the patched image
+//! segment by segment, with no gather buffer, and asserts that it folds
+//! to the signed root, so every delta test checks every image it gets
+//! back.
 
 use crate::error::EricError;
 use crate::package::{framing, Frame};
@@ -70,7 +106,8 @@ use eric_hde::wire::{map_wire_len, write_challenge, write_map, FrameHeader, Fram
 use eric_hde::{FieldPolicy, HdeError};
 use eric_puf::crp::{Challenge, EnrollmentRecord};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Wire magic for a delta frame: "ERIC2" + delta marker.
 pub(crate) const DELTA_MAGIC: &[u8; 6] = b"ERIC2D";
@@ -175,10 +212,12 @@ pub struct PreparedDelta {
     /// The target image's full plaintext leaf table (shared across the
     /// batch; the signed root folds all of it).
     pub(crate) new_leaves: Vec<Digest>,
+    /// Merkle root of `new_leaves`, folded once here: each frame binds
+    /// it to its own AAD without folding the table again.
+    pub(crate) new_root: Digest,
     /// Merkle root of the *base* image's leaf table: the fingerprint
     /// the device must match before patching.
     pub(crate) base_digest: Digest,
-    pub(crate) prepare_time: Duration,
 }
 
 impl fmt::Debug for PreparedDelta {
@@ -224,11 +263,6 @@ impl PreparedDelta {
     /// would carry metadata only).
     pub fn is_empty(&self) -> bool {
         self.changed.is_empty()
-    }
-
-    /// Wall-clock spent diffing the leaf tables.
-    pub fn prepare_time(&self) -> Duration {
-        self.prepare_time
     }
 }
 
@@ -442,6 +476,63 @@ impl Frame for DeltaPackage {
     }
 }
 
+/// One segment of installed plaintext: `range` of a buffer that other
+/// segments, and other images, may share. Never written after it is
+/// built.
+#[derive(Clone)]
+struct Segment {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl Segment {
+    /// A segment that is the whole of its own buffer.
+    fn owned(bytes: Vec<u8>) -> Segment {
+        Segment {
+            range: 0..bytes.len(),
+            buf: Arc::new(bytes),
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+/// The plaintext of an [`InstalledImage`], segment by segment.
+#[derive(Clone)]
+pub(crate) struct Payload {
+    segments: Vec<Segment>,
+    len: usize,
+}
+
+impl Payload {
+    /// Take the HDE's verified plaintext as it is: the buffer moves
+    /// into one shared allocation, uncopied, and each segment is a view
+    /// of it.
+    pub(crate) fn new(plaintext: Vec<u8>, segment_len: usize) -> Payload {
+        let len = plaintext.len();
+        let buf = Arc::new(plaintext);
+        let segments = (0..len)
+            .step_by(segment_len)
+            .map(|start| Segment {
+                buf: Arc::clone(&buf),
+                range: start..len.min(start + segment_len),
+            })
+            .collect();
+        Payload { segments, len }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The plaintext in payload order, one slice per segment.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = &[u8]> {
+        self.segments.iter().map(Segment::bytes)
+    }
+}
+
 /// A verified plaintext image resident on a device, with the cached
 /// per-segment digests that make delta updates possible.
 ///
@@ -450,16 +541,26 @@ impl Frame for DeltaPackage {
 /// (patch); run with
 /// [`Device::run_installed`](crate::Device::run_installed). The cached
 /// leaf table is what lets the device verify a delta's Merkle root
-/// without re-hashing the unchanged segments.
+/// without re-hashing the unchanged segments, and the cached
+/// fingerprint is the root that table was authenticated against.
+///
+/// The plaintext is copy-on-write, segment by segment: an install keeps
+/// the HDE's plaintext buffer without copying it, and a patched image
+/// shares its unchanged segments with its base (see
+/// [A delta costs what it changes](crate::delta#a-delta-costs-what-it-changes)).
+/// Cloning an image copies no plaintext.
 #[derive(Clone)]
 pub struct InstalledImage {
-    pub(crate) payload: Vec<u8>,
+    pub(crate) payload: Payload,
     pub(crate) text_len: usize,
     pub(crate) text_base: u64,
     pub(crate) data_base: u64,
     pub(crate) entry: u64,
     pub(crate) segment_len: u32,
     pub(crate) leaves: Vec<Digest>,
+    /// `tree::merkle_root(&leaves)`, as the HDE folded it when it
+    /// authenticated the table.
+    pub(crate) fingerprint: Digest,
 }
 
 impl fmt::Debug for InstalledImage {
@@ -478,9 +579,10 @@ impl fmt::Debug for InstalledImage {
 impl InstalledImage {
     /// Merkle fingerprint of the installed plaintext: two devices hold
     /// the same image iff their fingerprints match, and a delta frame
-    /// names the fingerprint it expects to patch.
+    /// names the fingerprint it expects to patch. Cached, not folded
+    /// per call.
     pub fn fingerprint(&self) -> Digest {
-        tree::merkle_root(&self.leaves)
+        self.fingerprint
     }
 
     /// Installed plaintext size in bytes.
@@ -564,7 +666,6 @@ impl SoftwareSource {
                 "base and target segment lengths differ ({base_len} vs {target_len})"
             )));
         }
-        let t = Instant::now();
         let segment_len = *target_len as usize;
         let payload_len = target.payload.len();
         let mut changed = Vec::new();
@@ -593,8 +694,8 @@ impl SoftwareSource {
             map: target.map.clone(),
             segments,
             new_leaves: target_leaves.clone(),
+            new_root: tree::merkle_root(target_leaves),
             base_digest: tree::merkle_root(base_leaves),
-            prepare_time: t.elapsed(),
         })
     }
 
@@ -678,11 +779,16 @@ impl SoftwareSource {
         header.write(out);
         let aad_len = out.len();
 
-        // The signed root folds the FULL new leaf table over the delta
-        // AAD: the device reconstructs the same table from its cache
-        // plus the shipped diff, so any omission or substitution in
-        // the diff breaks the root.
-        let signature = signed_root(out, delta.segment_len, &delta.new_leaves);
+        // The signed root binds the root of the FULL new leaf table to
+        // the delta AAD: the device reconstructs the same table from
+        // its cache plus the shipped diff, so any omission or
+        // substitution in the diff breaks the root.
+        let signature = signed_root(
+            out,
+            delta.segment_len,
+            delta.new_leaves.len(),
+            &delta.new_root,
+        );
         let mut sig_bytes = *signature.as_bytes();
         transform_signature(&mut sig_bytes, payload_len, cipher.as_ref());
         out.extend_from_slice(&sig_bytes);
@@ -725,11 +831,14 @@ impl SoftwareSource {
 /// one [`SegmentVerifier`] runs the shared order. Its structural and
 /// epoch checks and key derivation come first. The base fingerprint
 /// is checked next, and the full new leaf table (cached siblings plus
-/// shipped diff) is rebuilt and authenticated against the signed root.
-/// Only then is any payload byte decrypted: each patched segment is
-/// checked against its authenticated leaf, and the whole patched image
-/// is re-hashed against the signed root before a new
-/// [`InstalledImage`] is handed back.
+/// shipped diff) is rebuilt and authenticated against the signed root;
+/// a kept segment must still fit its slot. Only then is any payload
+/// byte decrypted: each shipped segment, into a buffer of its own, and
+/// checked against its authenticated leaf. The new [`InstalledImage`]
+/// shares every other segment with the base and takes the
+/// authenticated table and its root as its leaves and fingerprint; the
+/// whole-image re-hash runs only as a debug-build oracle (see the
+/// [module docs](self)).
 pub(crate) fn apply(
     loader: &SecureLoader,
     installed: &InstalledImage,
@@ -765,6 +874,8 @@ pub(crate) fn apply(
         payload_len,
     };
     let new_count = payload_len.div_ceil(segment_len);
+    let slot_len = |i: usize| segment_len.min(payload_len - i * segment_len);
+    let kept = &installed.payload.segments;
     let table = |cipher: &dyn KeystreamCipher| {
         // Base gate: this delta must name the image actually installed.
         let mut base_digest = delta.encrypted_base_digest;
@@ -773,7 +884,7 @@ pub(crate) fn apply(
             &mut base_digest,
         );
         if !installed
-            .fingerprint()
+            .fingerprint
             .ct_eq(&Digest::from_bytes(base_digest))
         {
             return Err(EricError::Package(
@@ -783,7 +894,8 @@ pub(crate) fn apply(
         // The full new leaf table: each shipped replacement decrypted at
         // its natural manifest slot, every other segment from the cache.
         // A segment past the installed table is new content and must be
-        // shipped — the cache has no digest to stand in for it.
+        // shipped — the cache has no digest to stand in for it — and a
+        // kept segment must fill its slot in the new geometry exactly.
         let manifest_at = manifest_stream_offset(payload_len);
         let mut shipped = delta.changed.iter().zip(&delta.changed_leaves).peekable();
         (0..new_count)
@@ -793,11 +905,13 @@ pub(crate) fn apply(
                     cipher.apply(manifest_at + 32 * i as u64, &mut leaf);
                     Ok(Digest::from_bytes(leaf))
                 }
-                None => installed
-                    .leaves
-                    .get(i)
-                    .copied()
-                    .ok_or_else(|| EricError::Package(format!("delta omits new segment {i}"))),
+                None => match kept.get(i) {
+                    None => Err(EricError::Package(format!("delta omits new segment {i}"))),
+                    Some(segment) if segment.range.len() != slot_len(i) => Err(EricError::Package(
+                        format!("delta keeps segment {i} but changes its length"),
+                    )),
+                    Some(_) => Ok(installed.leaves[i]),
+                },
             })
             .collect()
     };
@@ -809,26 +923,47 @@ pub(crate) fn apply(
         table,
     )?;
 
-    // Patch into a fresh buffer: the installed image is never touched,
+    // Build the patched image beside the base, which is never touched,
     // so no error path can leave a partially-patched image behind.
-    let mut payload = installed.payload.clone();
-    payload.resize(payload_len, 0);
+    let mut shipped = delta.changed.iter().map(|&i| i as usize).peekable();
     let mut cursor = 0usize;
-    for &i in &delta.changed {
-        let start = i as usize * segment_len;
-        let len = segment_len.min(payload_len - start);
-        let segment = &mut payload[start..start + len];
-        segment.copy_from_slice(&delta.segments[cursor..cursor + len]);
-        cursor += len;
-        verifier.verify_block(i as usize, segment)?;
-    }
+    let segments = (0..new_count)
+        .map(|i| {
+            if shipped.next_if_eq(&i).is_none() {
+                // A view of a buffer longer than the whole new payload
+                // (the install buffer, after a shrink) is copied out, so
+                // an image never pins more than twice its payload.
+                let kept = &kept[i];
+                return Ok(if kept.buf.len() > payload_len {
+                    Segment::owned(kept.bytes().to_vec())
+                } else {
+                    kept.clone()
+                });
+            }
+            let len = slot_len(i);
+            let mut bytes = delta.segments[cursor..cursor + len].to_vec();
+            cursor += len;
+            verifier.verify_block(i, &mut bytes)?;
+            Ok::<_, HdeError>(Segment::owned(bytes))
+        })
+        .collect::<Result<_, _>>()?;
+    let payload = Payload {
+        segments,
+        len: payload_len,
+    };
 
-    // End-to-end re-verification: hash the ENTIRE patched image (not
-    // just the diff) against the signed root, exactly as a full-frame
-    // load would. A stale cache entry for an "unchanged" segment is
-    // caught here rather than silently trusted.
-    let leaves = verifier.finish(tree::leaf_digests_batch(0, &payload, segment_len))?;
-
+    debug_assert!(
+        verifier
+            .finish(
+                (0..)
+                    .zip(payload.segments())
+                    .map(|(i, bytes)| tree::leaf_digest(i, bytes))
+                    .collect()
+            )
+            .is_ok(),
+        "patched image does not re-hash to its signed root"
+    );
+    let (leaves, fingerprint) = verifier.into_table();
     Ok(InstalledImage {
         payload,
         text_len: delta.text_len as usize,
@@ -837,6 +972,7 @@ pub(crate) fn apply(
         entry: delta.entry,
         segment_len: delta.segment_len,
         leaves,
+        fingerprint,
     })
 }
 
@@ -852,6 +988,173 @@ mod tests {
     fn prepared(src: &SoftwareSource, program: &str, cfg: &EncryptionConfig) -> PreparedImage {
         let image = src.compile(program, false).unwrap();
         src.prepare_image(&image, cfg).unwrap()
+    }
+
+    // Byte-wise comparison and printing, so tests can compare an
+    // installed payload with another or with a plaintext `Vec`.
+    impl PartialEq for Payload {
+        fn eq(&self, other: &Payload) -> bool {
+            self.segments().flatten().eq(other.segments().flatten())
+        }
+    }
+
+    impl PartialEq<Vec<u8>> for Payload {
+        fn eq(&self, other: &Vec<u8>) -> bool {
+            self.segments().flatten().eq(other)
+        }
+    }
+
+    impl fmt::Debug for Payload {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.debug_list().entries(self.segments().flatten()).finish()
+        }
+    }
+
+    /// `BASE` (exit code 42) with `data` as its data section.
+    fn release(src: &SoftwareSource, data: Vec<u8>, cfg: &EncryptionConfig) -> PreparedImage {
+        let mut image = src.compile(BASE, false).unwrap();
+        image.data = data;
+        src.prepare_image(&image, cfg).unwrap()
+    }
+
+    /// `len` counting bytes, with the byte at each of `edits` flipped.
+    fn blob(len: usize, edits: &[usize]) -> Vec<u8> {
+        let mut data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        for &at in edits {
+            data[at] ^= 0xFF;
+        }
+        data
+    }
+
+    /// Bytes of the distinct buffers an image's segments keep alive.
+    fn pinned(image: &InstalledImage) -> usize {
+        let mut bufs: Vec<&Arc<Vec<u8>>> = image.payload.segments.iter().map(|s| &s.buf).collect();
+        bufs.sort_by_key(|buf| Arc::as_ptr(buf));
+        bufs.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        bufs.iter().map(|buf| buf.len()).sum()
+    }
+
+    #[test]
+    fn patched_image_shares_kept_segments_and_outlives_its_base() {
+        let mut device = Device::with_seed(10, "node");
+        let cred = device.enroll();
+        let src = SoftwareSource::new("vendor");
+        let cfg = EncryptionConfig::full().with_segments(16);
+        let base = release(&src, blob(200, &[]), &cfg);
+        let next = release(&src, blob(200, &[70]), &cfg);
+        let installed = device
+            .install(&src.package_prepared(&base, &cred).unwrap().0)
+            .unwrap();
+        let delta = src.prepare_delta(&base, &next).unwrap();
+        assert_eq!(delta.changed, [5], "byte 70 of the data is payload byte 86");
+        let frame = src.package_delta(&delta, &cred).unwrap();
+        let patched = device.apply_delta(&installed, &frame).unwrap();
+
+        let base_segments = &installed.payload.segments;
+        for (i, segment) in patched.payload.segments.iter().enumerate() {
+            let shared = base_segments
+                .iter()
+                .any(|b| Arc::ptr_eq(&b.buf, &segment.buf));
+            assert_eq!(shared, i != 5, "segment {i}");
+        }
+
+        let clean = device
+            .install(&src.package_prepared(&next, &cred).unwrap().0)
+            .unwrap();
+        drop(installed);
+        assert_eq!(patched.fingerprint(), clean.fingerprint());
+        assert_eq!(patched.payload, clean.payload);
+        assert_eq!(device.run_installed(&patched).unwrap().exit_code, 42);
+    }
+
+    #[test]
+    fn delta_ring_pins_at_most_twice_the_payload() {
+        let mut device = Device::with_seed(11, "node");
+        let cred = device.enroll();
+        let src = SoftwareSource::new("vendor");
+        let cfg = EncryptionConfig::full().with_segments(16);
+        // 216-byte install; grow to 312, edit, shrink to 104 (below half
+        // the install buffer), grow back.
+        let ring = [
+            release(&src, blob(200, &[]), &cfg),
+            release(&src, blob(296, &[40]), &cfg),
+            release(&src, blob(296, &[40, 150]), &cfg),
+            release(&src, blob(88, &[8]), &cfg),
+        ];
+        let clean: Vec<Digest> = ring
+            .iter()
+            .map(|r| {
+                let package = src.package_prepared(r, &cred).unwrap().0;
+                device.install(&package).unwrap().fingerprint()
+            })
+            .collect();
+        let mut image = device
+            .install(&src.package_prepared(&ring[0], &cred).unwrap().0)
+            .unwrap();
+        for step in 0..16 {
+            let (from, to) = (step % ring.len(), (step + 1) % ring.len());
+            let delta = src.prepare_delta(&ring[from], &ring[to]).unwrap();
+            let frame = src.package_delta(&delta, &cred).unwrap();
+            image = device.apply_delta(&image, &frame).unwrap();
+            assert_eq!(image.fingerprint(), clean[to], "step {step}");
+            assert_eq!(image.payload, ring[to].payload, "step {step}");
+            assert!(
+                pinned(&image) <= 2 * image.payload_len(),
+                "step {step}: {} bytes pinned for a {}-byte payload",
+                pinned(&image),
+                image.payload_len()
+            );
+        }
+        assert_eq!(device.run_installed(&image).unwrap().exit_code, 42);
+    }
+
+    /// A table that keeps a segment whose slot changes length would
+    /// leave an image longer than its payload: refused before anything
+    /// is decrypted.
+    #[test]
+    fn kept_segment_that_changes_length_is_refused() {
+        let mut device = Device::with_seed(13, "node");
+        let cred = device.enroll();
+        let src = SoftwareSource::new("vendor");
+        let cfg = EncryptionConfig::full().with_segments(16);
+        let base = release(&src, blob(200, &[]), &cfg);
+        let installed = device
+            .install(&src.package_prepared(&base, &cred).unwrap().0)
+            .unwrap();
+        // A signed delta that keeps the base's whole table but trims
+        // its 8-byte tail segment to 4 bytes.
+        let mut delta = src.prepare_delta(&base, &base).unwrap();
+        delta.payload_len -= 4;
+        let frame = src.package_delta(&delta, &cred).unwrap();
+        let err = device.apply_delta(&installed, &frame).unwrap_err();
+        assert!(
+            matches!(&err, EricError::Package(m) if m.contains("changes its length")),
+            "{err:?}"
+        );
+    }
+
+    /// The re-hash that release builds skip still runs in debug builds:
+    /// a cached segment that no longer matches its leaf is caught.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "re-hash")]
+    fn debug_oracle_catches_a_corrupted_cached_segment() {
+        let mut device = Device::with_seed(12, "node");
+        let cred = device.enroll();
+        let src = SoftwareSource::new("vendor");
+        let cfg = EncryptionConfig::full().with_segments(16);
+        let base = release(&src, blob(200, &[]), &cfg);
+        let next = release(&src, blob(200, &[70]), &cfg);
+        let mut installed = device
+            .install(&src.package_prepared(&base, &cred).unwrap().0)
+            .unwrap();
+        let mut bytes = installed.payload.segments[2].bytes().to_vec();
+        bytes[0] ^= 1;
+        installed.payload.segments[2] = Segment::owned(bytes);
+        let frame = src
+            .package_delta(&src.prepare_delta(&base, &next).unwrap(), &cred)
+            .unwrap();
+        let _ = device.apply_delta(&installed, &frame);
     }
 
     #[test]

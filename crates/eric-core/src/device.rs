@@ -1,6 +1,6 @@
 //! A target device: PUF + HDE + SoC.
 
-use crate::delta::{DeltaPackage, InstalledImage};
+use crate::delta::{DeltaPackage, InstalledImage, Payload};
 use crate::error::EricError;
 use crate::package::Package;
 use eric_asm::Image;
@@ -163,12 +163,11 @@ impl Device {
     /// device, wrong epoch); [`EricError::Runtime`] for SoC faults.
     pub fn install_and_run(&mut self, package: &Package) -> Result<ExecutionReport, EricError> {
         let loaded = self.verify(package)?;
-        let (text, data) = loaded.plaintext.split_at(loaded.text_len);
         self.soc.load_raw(
             package.text_base,
-            text,
             package.data_base,
-            data,
+            loaded.text_len,
+            [loaded.plaintext.as_slice()],
             package.entry,
         )?;
         let run = self.soc.run(self.fuel)?;
@@ -190,8 +189,10 @@ impl Device {
     /// ([`LoadedProgram::leaves`](eric_hde::LoadedProgram::leaves)):
     /// the leaves it recomputed, ct-compared against the manifest and
     /// folded into the validated root in its one verification pass.
-    /// The plaintext is hashed once per install, not a second time
-    /// here.
+    /// The image's fingerprint is that fold's root
+    /// ([`LoadedProgram::root`](eric_hde::LoadedProgram::root)). The
+    /// plaintext is hashed once per install, not a second time here,
+    /// and kept in the buffer the HDE decrypted it into, not copied.
     ///
     /// Requires a segmented (`ERIC2`) package: the delta machinery is
     /// built on the per-segment leaf table, which a legacy `ERIC1`
@@ -226,13 +227,14 @@ impl Device {
         let segment_len = manifest.segment_len();
         let loaded = self.verify(package)?;
         Ok(InstalledImage {
-            payload: loaded.plaintext,
+            payload: Payload::new(loaded.plaintext, segment_len as usize),
             text_len: loaded.text_len,
             text_base: package.text_base,
             data_base: package.data_base,
             entry: package.entry,
             segment_len,
             leaves: loaded.leaves,
+            fingerprint: loaded.root,
         })
     }
 
@@ -258,9 +260,14 @@ impl Device {
     /// no partially-patched state on any path.
     ///
     /// The device recomputes the Merkle root from its cached sibling
-    /// digests plus the shipped replacement leaves, authenticates it
+    /// digests plus the shipped replacement leaves and authenticates it
     /// against the frame's AAD-bound signed root before decrypting any
-    /// payload, then re-verifies the entire patched image end to end.
+    /// payload. It then decrypts only the shipped segments, checks each
+    /// against its authenticated leaf, and shares every other segment
+    /// with `installed`: the cost follows the segments shipped, plus
+    /// one Merkle fold. The patched image is not hashed again; the
+    /// [`delta`](crate::delta#a-delta-costs-what-it-changes) module
+    /// docs give the reason.
     ///
     /// # Errors
     ///
@@ -280,15 +287,20 @@ impl Device {
     /// Load an already-verified installed image into SoC memory and run
     /// it. Verification happened at [`Device::install`] /
     /// [`Device::apply_delta`] time, so the load is charged at the
-    /// plain streaming rate with no HDE cycles.
+    /// plain streaming rate with no HDE cycles. Each segment is written
+    /// into SoC memory from wherever the image keeps it.
     ///
     /// # Errors
     ///
     /// [`EricError::Runtime`] for SoC faults.
     pub fn run_installed(&mut self, image: &InstalledImage) -> Result<ExecutionReport, EricError> {
-        let (text, data) = image.payload.split_at(image.text_len);
-        self.soc
-            .load_raw(image.text_base, text, image.data_base, data, image.entry)?;
+        self.soc.load_raw(
+            image.text_base,
+            image.data_base,
+            image.text_len,
+            image.payload.segments(),
+            image.entry,
+        )?;
         let run = self.soc.run(self.fuel)?;
         let load_cycles = self.loader.timing().plain_load_cycles(image.payload.len());
         Ok(ExecutionReport {

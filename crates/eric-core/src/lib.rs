@@ -23,7 +23,8 @@
 //!   wrong device, payload substitution), for any [`Frame`].
 //! * [`delta`] — segment-granular delta OTA updates on top of the v2
 //!   manifest: diff prepared images by leaf table, ship only changed
-//!   segments (`ERIC2D`), patch and re-verify on device.
+//!   segments (`ERIC2D`), and patch on device at the cost of the
+//!   segments shipped.
 //! * [`delivery`] — resilient delivery over that transport, for full
 //!   and delta frames alike: seeded stochastic fault injection
 //!   ([`FaultPlan`]), bounded retry with backoff ([`DeliveryPolicy`]),

@@ -26,7 +26,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// An image with all device-independent packaging work done: payload
 /// assembled and the coverage map constructed.
@@ -52,16 +51,19 @@ pub struct PreparedImage {
     pub(crate) map: CoverageMap,
     pub(crate) payload: Vec<u8>,
     pub(crate) signature_plan: SignaturePlan,
-    pub(crate) prepare_time: Duration,
+    /// `tree::merkle_root` of the segmented leaf table (of the empty
+    /// table for a v1 build), folded once at prepare time.
+    pub(crate) leaf_root: Digest,
 }
 
 /// The device-independent half of the signature work.
 ///
 /// For a segmented build the per-segment leaf digests are functions of
-/// the *plaintext* payload only, so they are computed once at prepare
-/// time and shared across the whole batch; each device then pays only
-/// the O(segments) Merkle fold over its own AAD instead of re-hashing
-/// the entire payload (v1's per-device cost).
+/// the *plaintext* payload only, so they are computed and folded to
+/// their Merkle root once at prepare time and shared across the whole
+/// batch ([`PreparedImage`] keeps the root); each device then pays
+/// only an O(AAD) bind of that root to its own AAD instead of
+/// re-hashing the entire payload (v1's per-device cost).
 #[derive(Clone, Debug)]
 pub(crate) enum SignaturePlan {
     /// v1: each device hashes `AAD ‖ payload` itself.
@@ -95,13 +97,6 @@ impl PreparedImage {
             SignaturePlan::Single => 0,
             SignaturePlan::Segmented { leaves, .. } => leaves.len(),
         }
-    }
-
-    /// Wall-clock spent on the device-independent preparation
-    /// (coverage-map construction and, for segmented builds, leaf
-    /// hashing).
-    pub fn prepare_time(&self) -> Duration {
-        self.prepare_time
     }
 }
 
@@ -312,11 +307,10 @@ impl SoftwareSource {
 
         // Build the coverage map. Selection is seed-deterministic, so
         // the map is identical for every device in a batch and safe to
-        // share. Segmented builds also hash the plaintext leaves here:
-        // leaves depend only on the payload, so the whole batch shares
-        // one leaf table and per-device signing shrinks to the Merkle
-        // fold.
-        let t = Instant::now();
+        // share. Segmented builds also hash the plaintext leaves and
+        // fold them here: leaves depend only on the payload, so the
+        // whole batch shares one leaf table and its root, and
+        // per-device signing shrinks to binding that root to the AAD.
         let (map, policy) = match config.mode {
             EncryptionMode::Full => (CoverageMap::Full, None),
             EncryptionMode::PartialRandom { fraction, seed } => {
@@ -334,7 +328,10 @@ impl SoftwareSource {
                 leaves: tree::leaf_digests_batch(0, &payload, segment_len as usize),
             },
         };
-        let prepare_time = t.elapsed();
+        let leaf_root = match &signature_plan {
+            SignaturePlan::Single => tree::merkle_root(&[]),
+            SignaturePlan::Segmented { leaves, .. } => tree::merkle_root(leaves),
+        };
 
         Ok(PreparedImage {
             cipher: config.cipher,
@@ -347,7 +344,7 @@ impl SoftwareSource {
             map,
             payload,
             signature_plan,
-            prepare_time,
+            leaf_root,
         })
     }
 
@@ -382,8 +379,8 @@ impl SoftwareSource {
     /// 1. the cleartext header lands in `out` first, and because the
     ///    header encoding *is* the AAD encoding (one shared writer),
     ///    the signature is computed over `&out[..aad_len]` in place —
-    ///    v1 hashes `AAD ‖ payload` per device, v2 only folds the
-    ///    shared plaintext leaves into the AAD-bound Merkle root;
+    ///    v1 hashes `AAD ‖ payload` per device, v2 only binds the
+    ///    shared leaf table's prepared Merkle root to the AAD;
     /// 2. the shared plaintext payload is keystream-XORed into the
     ///    frame as it is copied ([`transform_payload_into`]), and the
     ///    manifest leaves are encrypted in place after being appended.
@@ -480,7 +477,7 @@ impl SoftwareSource {
             SignaturePlan::Segmented {
                 segment_len,
                 leaves,
-            } => signed_root(out, *segment_len, leaves),
+            } => signed_root(out, *segment_len, leaves.len(), &prepared.leaf_root),
         };
 
         let key = self.kmu.package_key(&cred.key, nonce);
@@ -804,7 +801,9 @@ mod tests {
                 hasher.update(plain);
                 hasher.finalize()
             }
-            Some((segment_len, leaves)) => signed_root(&aad, *segment_len, leaves),
+            Some((segment_len, leaves)) => {
+                signed_root(&aad, *segment_len, leaves.len(), &tree::merkle_root(leaves))
+            }
         };
 
         let mut frame = aad.clone();

@@ -36,7 +36,7 @@ use crate::transform::{transform_region, transform_signature};
 use crate::units::{KeyUnit, SignatureGenerator, ValidationUnit};
 use crate::verify::{FrameParams, SegmentVerifier};
 use eric_crypto::cipher::CipherKind;
-use eric_crypto::sha256::Digest;
+use eric_crypto::sha256::{tree, Digest};
 use eric_puf::crp::Challenge;
 use eric_puf::device::PufDevice;
 use std::fmt;
@@ -92,6 +92,9 @@ pub struct LoadedProgram {
     /// the shipped manifest and folded into the validated signed root
     /// during this load. Empty for a v1 single-digest package.
     pub leaves: Vec<Digest>,
+    /// [`tree::merkle_root`] of `leaves`, the root the signed root
+    /// binds, as this load folded it (the empty table's root for v1).
+    pub root: Digest,
 }
 
 impl fmt::Debug for LoadedProgram {
@@ -282,6 +285,7 @@ impl SecureLoader {
             text_len: frame.text_len,
             cycles,
             leaves: Vec::new(),
+            root: tree::merkle_root(&[]),
         })
     }
 
@@ -310,12 +314,13 @@ impl SecureLoader {
             |first, _, block| vec![verifier.verify_block(first, block)],
         );
         let recomputed = blocks.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let leaves = verifier.finish(recomputed.concat())?;
+        let (leaves, root) = verifier.finish(recomputed.concat())?;
         Ok(LoadedProgram {
             plaintext,
             text_len: frame.text_len,
             cycles: verifier.cycles(self.lanes),
             leaves,
+            root,
         })
     }
 }
@@ -395,7 +400,8 @@ mod tests {
             .enumerate()
             .map(|(i, seg)| tree::leaf_digest(i as u64, seg))
             .collect();
-        let mut root = *signed_root(&[], segment_len, &leaves).as_bytes();
+        let mut root =
+            *signed_root(&[], segment_len, leaves.len(), &tree::merkle_root(&leaves)).as_bytes();
         let mut enc = payload.to_vec();
         transform_payload(&mut enc, map, None, text_len, cipher.as_ref());
         transform_signature(&mut root, payload.len(), cipher.as_ref());

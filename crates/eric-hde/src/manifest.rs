@@ -147,14 +147,18 @@ impl SignatureBlock {
 /// the individual leaves are untouched. Both the packager and the HDE
 /// compute exactly this function — they share this one implementation,
 /// so the two sides cannot drift.
-pub fn signed_root(aad: &[u8], segment_len: u32, leaves: &[Digest]) -> Digest {
+///
+/// `root` is [`tree::merkle_root`] of the `leaf_count` leaves. Callers
+/// fold a table once and keep its root, so binding it to a frame costs
+/// one hash over the AAD, not another fold of the table.
+pub fn signed_root(aad: &[u8], segment_len: u32, leaf_count: usize, root: &Digest) -> Digest {
     let mut h = Sha256::new();
     h.update(&[tree::BIND_TAG]);
     h.update(&(aad.len() as u64).to_le_bytes());
     h.update(aad);
     h.update(&segment_len.to_le_bytes());
-    h.update(&(leaves.len() as u64).to_le_bytes());
-    h.update(tree::merkle_root(leaves).as_bytes());
+    h.update(&(leaf_count as u64).to_le_bytes());
+    h.update(root.as_bytes());
     h.finalize()
 }
 
@@ -199,16 +203,23 @@ mod tests {
         let _ = SegmentManifest::new(0, vec![]);
     }
 
+    /// The signed root of a whole table, folded here.
+    fn bind(aad: &[u8], segment_len: u32, leaves: &[Digest]) -> Digest {
+        signed_root(aad, segment_len, leaves.len(), &tree::merkle_root(leaves))
+    }
+
     #[test]
     fn signed_root_binds_everything() {
         let ls = leaves(3);
-        let base = signed_root(b"aad", 64, &ls);
-        assert_ne!(base, signed_root(b"aab", 64, &ls), "aad not bound");
-        assert_ne!(base, signed_root(b"aad", 68, &ls), "segment_len not bound");
-        assert_ne!(base, signed_root(b"aad", 64, &ls[..2]), "count not bound");
+        let base = bind(b"aad", 64, &ls);
+        assert_ne!(base, bind(b"aab", 64, &ls), "aad not bound");
+        assert_ne!(base, bind(b"aad", 68, &ls), "segment_len not bound");
+        assert_ne!(base, bind(b"aad", 64, &ls[..2]), "table not bound");
+        let root = tree::merkle_root(&ls);
+        assert_ne!(base, signed_root(b"aad", 64, 4, &root), "count not bound");
         let mut reordered = ls.clone();
         reordered.swap(0, 1);
-        assert_ne!(base, signed_root(b"aad", 64, &reordered), "order not bound");
+        assert_ne!(base, bind(b"aad", 64, &reordered), "order not bound");
     }
 
     #[test]

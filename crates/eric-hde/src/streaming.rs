@@ -101,7 +101,7 @@ impl<'l> StreamingLoader<'l> {
     /// the last segment is [`HdeError::Malformed`] too.
     pub fn process<R: Read>(&self, source: R) -> Result<LoadedProgram, HdeError> {
         let mut plaintext = Vec::new();
-        let (report, leaves) = self.verify(source, |_, segment: &[u8]| {
+        let (report, (leaves, root)) = self.verify(source, |_, segment: &[u8]| {
             plaintext.extend_from_slice(segment);
         })?;
         Ok(LoadedProgram {
@@ -109,6 +109,7 @@ impl<'l> StreamingLoader<'l> {
             text_len: report.text_len,
             cycles: report.cycles,
             leaves,
+            root,
         })
     }
 
@@ -137,12 +138,12 @@ impl<'l> StreamingLoader<'l> {
 
     /// The streaming driver behind both entry points: also returns the
     /// recomputed leaf table, every entry of which matched the
-    /// authenticated manifest.
+    /// authenticated manifest, and its Merkle root.
     fn verify<R: Read, F: FnMut(usize, &[u8])>(
         &self,
         source: R,
         mut sink: F,
-    ) -> Result<(StreamReport, Vec<Digest>), HdeError> {
+    ) -> Result<(StreamReport, (Vec<Digest>, Digest)), HdeError> {
         let mut reader = FrameReader::new(source);
         let head = reader.head()?;
         let SignatureBlock::Segmented {
@@ -247,7 +248,8 @@ mod tests {
             .enumerate()
             .map(|(i, seg)| tree::leaf_digest(i as u64, seg))
             .collect();
-        let mut root = *signed_root(&aad, segment_len, &leaves).as_bytes();
+        let mut root =
+            *signed_root(&aad, segment_len, leaves.len(), &tree::merkle_root(&leaves)).as_bytes();
         transform_signature(&mut root, payload.len(), cipher.as_ref());
         let mut enc_leaves: Vec<[u8; 32]> = leaves.iter().map(|d| *d.as_bytes()).collect();
         transform_manifest_leaves(&mut enc_leaves, payload.len(), cipher.as_ref());

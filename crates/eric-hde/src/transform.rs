@@ -296,7 +296,7 @@ pub fn transform_signature(
 /// as a single flattened [`KeystreamCipher::apply`] rather than one
 /// call per leaf — which lets a counter-mode cipher batch the blocks
 /// through the multi-buffer hash engine.
-pub fn transform_manifest_leaves(
+pub(crate) fn transform_manifest_leaves(
     leaves: &mut [[u8; 32]],
     payload_len: usize,
     cipher: &dyn KeystreamCipher,

@@ -6,20 +6,23 @@
 //!
 //! 1. structural checks, then the epoch check, then key derivation
 //!    (`FrameParams::keystream`, shared with v1);
-//! 2. manifest authentication: the full leaf table is folded into the
-//!    AAD-bound [`signed_root`] and compared with the decrypted shipped
-//!    root *before any payload byte is decrypted*;
+//! 2. manifest authentication: the full leaf table is folded once,
+//!    bound to the AAD by [`signed_root`] and compared with the
+//!    decrypted shipped root *before any payload byte is decrypted*;
 //! 3. per block of whole segments: decrypt → one batched
 //!    [`tree::leaf_digests_batch`] → constant-time compare against the
 //!    authenticated table ([`SegmentVerifier::verify_block`]);
-//! 4. the final root fold over the recomputed leaves
-//!    ([`SegmentVerifier::finish`]), and one cycle model.
+//! 4. a full load folds the recomputed leaves into the signed root
+//!    once more ([`SegmentVerifier::finish`]); a delta takes the
+//!    authenticated table and its root as they are
+//!    ([`SegmentVerifier::into_table`]). One cycle model covers both.
 //!
 //! The entry points differ only in how they feed step 3: the buffered
 //! loader hands each decryption lane one block through
 //! [`map_lane_blocks`](crate::parallel::map_lane_blocks), the streaming
 //! loader one segment at a time as it arrives, and the delta patcher
-//! its changed segments before re-hashing the whole patched image.
+//! only the segments it ships; it keeps the others from the installed
+//! image, whose cached leaves fill the rest of the authenticated table.
 
 use crate::error::HdeError;
 use crate::loader::SecureLoader;
@@ -110,6 +113,8 @@ pub struct SegmentVerifier<'a> {
     cipher: Box<dyn KeystreamCipher + Send + Sync>,
     root: Digest,
     leaves: Vec<Digest>,
+    /// [`tree::merkle_root`] of `leaves`, folded once at authentication.
+    tree_root: Digest,
 }
 
 impl<'a> SegmentVerifier<'a> {
@@ -143,7 +148,8 @@ impl<'a> SegmentVerifier<'a> {
     /// keystream (a delta rebuilds it from the installed image's cache
     /// plus the shipped replacements, after checking its base), and
     /// the table must fold to the decrypted `encrypted_root`
-    /// ([`HdeError::SignatureMismatch`] otherwise).
+    /// ([`HdeError::SignatureMismatch`] otherwise). The table is folded
+    /// here once; [`SegmentVerifier::into_table`] hands its root out.
     pub fn authenticate<E: From<HdeError>>(
         loader: &SecureLoader,
         frame: FrameParams<'a>,
@@ -161,9 +167,10 @@ impl<'a> SegmentVerifier<'a> {
             segment_len,
             cipher,
             root: Digest::from_bytes(root),
+            tree_root: tree::merkle_root(&leaves),
             leaves,
         };
-        verifier.check_root(&verifier.leaves)?;
+        verifier.check_root(verifier.leaves.len(), &verifier.tree_root)?;
         Ok(verifier)
     }
 
@@ -199,14 +206,25 @@ impl<'a> SegmentVerifier<'a> {
         Ok(leaves)
     }
 
-    /// Step 4: fold the recomputed leaves of the whole payload into the
-    /// signed root once more ([`HdeError::SignatureMismatch`] if they
-    /// do not), and return them. After a full load every leaf has
-    /// already matched, so this is defense in depth; after a delta it
-    /// is what checks the segments that were not shipped.
-    pub fn finish(&self, recomputed: Vec<Digest>) -> Result<Vec<Digest>, HdeError> {
-        self.check_root(&recomputed)?;
-        Ok(recomputed)
+    /// Step 4 of a full load: fold the recomputed leaves of the whole
+    /// payload into the signed root once more
+    /// ([`HdeError::SignatureMismatch`] if they do not), and return
+    /// them with their Merkle root. Every leaf has already matched the
+    /// authenticated table, so this is defense in depth.
+    pub fn finish(&self, recomputed: Vec<Digest>) -> Result<(Vec<Digest>, Digest), HdeError> {
+        let tree_root = tree::merkle_root(&recomputed);
+        self.check_root(recomputed.len(), &tree_root)?;
+        Ok((recomputed, tree_root))
+    }
+
+    /// Step 4 of a delta: the authenticated leaf table and the Merkle
+    /// root it was folded to, with no further fold. The caller must
+    /// have passed every segment it decrypted through
+    /// [`SegmentVerifier::verify_block`]; the segments it did not
+    /// decrypt are the ones whose leaves it supplied to `table` from
+    /// storage it already trusts.
+    pub fn into_table(self) -> (Vec<Digest>, Digest) {
+        (self.leaves, self.tree_root)
     }
 
     /// Modeled cycles of the load on `lanes` decryption lanes (a
@@ -228,9 +246,9 @@ impl<'a> SegmentVerifier<'a> {
     }
 
     /// The signed root binds the AAD and the manifest geometry on top
-    /// of the Merkle fold of `leaves`.
-    fn check_root(&self, leaves: &[Digest]) -> Result<(), HdeError> {
-        let computed = signed_root(self.frame.aad, self.segment_len, leaves);
+    /// of `tree_root`, the Merkle fold of `leaf_count` leaves.
+    fn check_root(&self, leaf_count: usize, tree_root: &Digest) -> Result<(), HdeError> {
+        let computed = signed_root(self.frame.aad, self.segment_len, leaf_count, tree_root);
         if !computed.ct_eq(&self.root) {
             return Err(HdeError::SignatureMismatch {
                 computed,

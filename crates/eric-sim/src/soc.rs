@@ -248,29 +248,48 @@ impl Soc {
         Ok(())
     }
 
-    /// Load raw text/data bytes (the secure loader path, where the HDE
-    /// decrypts into memory without an [`Image`]). Memory is zeroed
-    /// first; see [`Soc::load_image`].
+    /// Load a raw payload (the secure loader path, where the HDE
+    /// releases plaintext into memory without an [`Image`]). The
+    /// payload is the concatenation of `payload`'s slices: its first
+    /// `text_len` bytes go to `text_base`, the rest to `data_base`.
+    /// Memory is zeroed first; see [`Soc::load_image`].
+    ///
+    /// A payload held in several buffers (an installed image's
+    /// segments) is written straight into RAM, never gathered first.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::Load`] when a section does not fit in RAM.
-    pub fn load_raw(
+    pub fn load_raw<'a>(
         &mut self,
         text_base: u64,
-        text: &[u8],
         data_base: u64,
-        data: &[u8],
+        text_len: usize,
+        payload: impl IntoIterator<Item = &'a [u8]>,
         entry: u64,
     ) -> Result<(), RunError> {
         self.mem.clear();
-        self.mem
-            .write_bytes(text_base, text)
-            .map_err(RunError::Load)?;
-        if !data.is_empty() {
-            self.mem
-                .write_bytes(data_base, data)
-                .map_err(RunError::Load)?;
+        let mut at = 0usize;
+        for mut bytes in payload {
+            while !bytes.is_empty() {
+                // A slice may straddle the text/data boundary.
+                let (base, offset, room) = if at < text_len {
+                    (text_base, at, text_len - at)
+                } else {
+                    (data_base, at - text_len, bytes.len())
+                };
+                let (piece, rest) = bytes.split_at(room.min(bytes.len()));
+                base.checked_add(offset as u64)
+                    .ok_or(MemError {
+                        addr: base,
+                        width: piece.len(),
+                        write: true,
+                    })
+                    .and_then(|addr| self.mem.write_bytes(addr, piece))
+                    .map_err(RunError::Load)?;
+                at += piece.len();
+                bytes = rest;
+            }
         }
         self.reset_cpu(entry);
         Ok(())
@@ -928,6 +947,36 @@ mod tests {
         assert_eq!(out.instructions, 3);
     }
 
+    /// A payload handed over in slices, one of them straddling the
+    /// text/data boundary, lands where `load_image` puts it.
+    #[test]
+    fn load_raw_splits_sliced_payload_at_the_text_boundary() {
+        let src = ".data\nv: .word 7\n.text\nla a1, v\nlw a0, 0(a1)\nli a7, 93\necall";
+        let img = assemble(src, &AsmOptions::default()).unwrap();
+        assert!(
+            !img.text.len().is_multiple_of(3),
+            "no slice straddles the boundary"
+        );
+        let payload = [&img.text[..], &img.data[..]].concat();
+        let mut want = Soc::new(SocConfig::default());
+        want.load_image(&img).unwrap();
+        let mut soc = Soc::new(SocConfig::default());
+        let slices = payload.chunks(3);
+        soc.load_raw(
+            img.text_base,
+            img.data_base,
+            img.text.len(),
+            slices,
+            img.entry,
+        )
+        .unwrap();
+        let (base, size) = (soc.mem.base(), soc.mem.size());
+        assert!(
+            soc.mem.read_bytes(base, size).unwrap() == want.mem.read_bytes(base, size).unwrap()
+        );
+        assert_eq!(soc.run(100).unwrap().exit_code, 7);
+    }
+
     #[test]
     fn cycles_exceed_instructions() {
         let out = run_src(
@@ -1097,7 +1146,8 @@ mod tests {
 
         let mut outcomes = ENGINES.iter().map(|&engine| {
             let mut soc = Soc::new(config_with(engine));
-            soc.load_raw(base, &text, base + 0x1000, &[], base).unwrap();
+            soc.load_raw(base, base + 0x1000, text.len(), [&text[..]], base)
+                .unwrap();
             soc.run(100).unwrap()
         });
         let out = outcomes.next().unwrap();

@@ -13,8 +13,8 @@
 use std::fs;
 use std::path::Path;
 
-const MAX_NON_TEST_LINES: usize = 7_034;
-const MAX_PUBLIC_ITEMS: usize = 322;
+const MAX_NON_TEST_LINES: usize = 7_208;
+const MAX_PUBLIC_ITEMS: usize = 320;
 
 const PUBLIC_KINDS: [&str; 9] = [
     "fn", "struct", "enum", "const", "trait", "type", "mod", "static", "use",

@@ -14,6 +14,12 @@
 //! and parses, so a clean delivery makes two payload-sized
 //! allocations, that copy and the parsed payload.
 //!
+//! Applying a delta must allocate only the segments it ships: the
+//! patched image shares every other segment with its base, and the
+//! debug-build re-hash oracle hashes segment by segment without
+//! gathering the image. Installing a full frame, by contrast, does make
+//! a payload-sized allocation: the buffer the HDE decrypts into.
+//!
 //! A counting `#[global_allocator]` wraps `System` and, while armed,
 //! counts every allocation/reallocation at or above half the payload
 //! size. Warm-up runs unarmed (buffers legitimately grow once); the
@@ -21,8 +27,8 @@
 //! counter is process-global.
 
 use eric::core::{
-    DeliveryPolicy, Device, EncryptionConfig, FaultPlan, LossyChannel, Package, ProvisioningDaemon,
-    ResilientDelivery, SoftwareSource,
+    DeliveryPolicy, Device, EncryptionConfig, FaultPlan, LossyChannel, Package, PreparedImage,
+    ProvisioningDaemon, ResilientDelivery, SoftwareSource,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -178,4 +184,47 @@ fn steady_state_packaging_performs_no_payload_sized_allocations() {
          {DEVICES} devices"
     );
     daemon.shutdown();
+
+    // --- Phase 4: a delta allocates its shipped segments only ---
+    let mut device = Device::with_seed(6_000, "ota-unit");
+    let cred = device.enroll();
+    let source = SoftwareSource::new("vendor");
+    let config = EncryptionConfig::full().with_segments(1024);
+    let image = source.compile(&asm, config.compress).unwrap();
+    let base = source.prepare_image(&image, &config).unwrap();
+    assert!(base.payload_len() >= DATA_BYTES && base.segments() >= 64);
+    THRESHOLD.store(base.payload_len() / 2, Ordering::Relaxed);
+    let install = |device: &mut Device, prepared: &PreparedImage| {
+        let (package, _) = source.package_prepared(prepared, &cred).unwrap();
+        device.install(&package).unwrap()
+    };
+    // Sanity: an install does make a payload-sized allocation.
+    let (installed, big) = armed(|| install(&mut device, &base));
+    assert!(
+        big >= 1,
+        "install should allocate the payload it decrypts, counted {big}"
+    );
+    // Data offsets 100, 20 000 and 40 000 fall in three different
+    // 1 KiB segments.
+    for edits in [&[100][..], &[100, 20_000, 40_000]] {
+        let mut next = image.clone();
+        for &at in edits {
+            next.data[at] ^= 0xFF;
+        }
+        let next = source.prepare_image(&next, &config).unwrap();
+        let delta = source.prepare_delta(&base, &next).unwrap();
+        assert_eq!(delta.changed_segments(), edits.len());
+        let frame = source.package_delta(&delta, &cred).unwrap();
+        let (patched, big) = armed(|| device.apply_delta(&installed, &frame).unwrap());
+        assert_eq!(
+            big,
+            0,
+            "a {}-segment delta made {big} payload-sized allocations",
+            edits.len()
+        );
+        assert_eq!(
+            patched.fingerprint(),
+            install(&mut device, &next).fingerprint()
+        );
+    }
 }
