@@ -532,7 +532,6 @@ pub fn ablation_parallel_decrypt() -> Vec<ParallelRow> {
             let per_lane = bytes.div_ceil(lanes);
             map_lane_blocks(&mut buf, per_lane, lanes, |_, offset, block| {
                 cipher.apply(offset as u64, block);
-                Vec::<()>::new()
             });
             let wall = t.elapsed();
             std::hint::black_box(&buf);
@@ -2034,11 +2033,11 @@ pub struct OtaReport {
 /// `ERIC2` frame of the new version. The patched image's fingerprint
 /// must equal a clean full install's (the correctness gate, not a
 /// sample), and the full frame is also
-/// stream-verified through [`StreamingLoader`](eric_hde::StreamingLoader)
+/// stream-verified through
+/// [`SecureLoader::process_stream_with`](eric_hde::SecureLoader::process_stream_with)
 /// to capture the peak-working-set column.
 pub fn ota_updates(image_kib: &[usize], segment_len: u32) -> OtaReport {
     use eric_hde::loader::SecureLoader;
-    use eric_hde::StreamingLoader;
     use eric_puf::device::PufDevice;
     use std::io::Read;
 
@@ -2101,10 +2100,9 @@ pub fn ota_updates(image_kib: &[usize], segment_len: u32) -> OtaReport {
 
         // Streaming working set over the full frame.
         let loader = SecureLoader::new(PufDevice::from_seed(seed, PufDeviceConfig::paper()));
-        let streaming = StreamingLoader::new(&loader);
         let t0 = Instant::now();
-        let report = streaming
-            .process_with(Chunks(&full_wire, 16 << 10), |_, _| {})
+        let report = loader
+            .process_stream_with(Chunks(&full_wire, 16 << 10), |_, _| {})
             .unwrap();
         let stream_ms = t0.elapsed().as_secs_f64() * 1e3;
 

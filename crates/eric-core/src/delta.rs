@@ -87,9 +87,9 @@
 //! attacker who could rewrite the plaintext could rewrite the leaves
 //! too, and a re-hash against them would not stop it. The re-hash
 //! stays as an oracle in debug builds: `apply` hashes the patched image
-//! segment by segment, with no gather buffer, and asserts that it folds
-//! to the signed root, so every delta test checks every image it gets
-//! back.
+//! segment by segment, with no gather buffer, and asserts that it
+//! matches the authenticated leaf table, so every delta test checks
+//! every image it gets back.
 
 use crate::error::EricError;
 use crate::package::{framing, Frame};
@@ -650,10 +650,12 @@ impl SoftwareSource {
             SignaturePlan::Segmented {
                 segment_len: base_len,
                 leaves: base_leaves,
+                root: base_root,
             },
             SignaturePlan::Segmented {
                 segment_len: target_len,
                 leaves: target_leaves,
+                root: target_root,
             },
         ) = (&base.signature_plan, &target.signature_plan)
         else {
@@ -694,8 +696,8 @@ impl SoftwareSource {
             map: target.map.clone(),
             segments,
             new_leaves: target_leaves.clone(),
-            new_root: tree::merkle_root(target_leaves),
-            base_digest: tree::merkle_root(base_leaves),
+            new_root: *target_root,
+            base_digest: *base_root,
         })
     }
 
@@ -952,18 +954,14 @@ pub(crate) fn apply(
         len: payload_len,
     };
 
-    debug_assert!(
-        verifier
-            .finish(
-                (0..)
-                    .zip(payload.segments())
-                    .map(|(i, bytes)| tree::leaf_digest(i, bytes))
-                    .collect()
-            )
-            .is_ok(),
-        "patched image does not re-hash to its signed root"
-    );
     let (leaves, fingerprint) = verifier.into_table();
+    debug_assert!(
+        (0..)
+            .zip(payload.segments())
+            .map(|(i, bytes)| tree::leaf_digest(i, bytes))
+            .eq(leaves.iter().copied()),
+        "patched image does not re-hash to its authenticated leaf table"
+    );
     Ok(InstalledImage {
         payload,
         text_len: delta.text_len as usize,
@@ -1370,11 +1368,13 @@ mod tests {
         let SignaturePlan::Segmented {
             segment_len,
             leaves,
+            root,
         } = &mut target.signature_plan
         else {
             unreachable!()
         };
         *leaves = tree::leaf_digests_batch(0, &target.payload, *segment_len as usize);
+        *root = tree::merkle_root(leaves);
         let delta = src.prepare_delta(&base, &target).unwrap();
         assert_eq!(delta.changed_segments(), 1);
 

@@ -17,7 +17,7 @@ use eric_crypto::kdf::KeyManagementUnit;
 use eric_crypto::sha256::{tree, Digest, Sha256};
 use eric_hde::manifest::signed_root;
 use eric_hde::map::{CoverageMap, ParcelBitmap};
-use eric_hde::transform::{manifest_stream_offset, transform_payload_into, transform_signature};
+use eric_hde::transform::{manifest_stream_offset, transform_payload, transform_signature};
 use eric_hde::wire::{
     map_wire_len, write_challenge, write_map, FrameHeader, HEADER_FIXED_LEN, MAGIC_V1, MAGIC_V2,
 };
@@ -51,9 +51,6 @@ pub struct PreparedImage {
     pub(crate) map: CoverageMap,
     pub(crate) payload: Vec<u8>,
     pub(crate) signature_plan: SignaturePlan,
-    /// `tree::merkle_root` of the segmented leaf table (of the empty
-    /// table for a v1 build), folded once at prepare time.
-    pub(crate) leaf_root: Digest,
 }
 
 /// The device-independent half of the signature work.
@@ -61,17 +58,19 @@ pub struct PreparedImage {
 /// For a segmented build the per-segment leaf digests are functions of
 /// the *plaintext* payload only, so they are computed and folded to
 /// their Merkle root once at prepare time and shared across the whole
-/// batch ([`PreparedImage`] keeps the root); each device then pays
-/// only an O(AAD) bind of that root to its own AAD instead of
-/// re-hashing the entire payload (v1's per-device cost).
+/// batch; each device then pays only an O(AAD) bind of that root to
+/// its own AAD instead of re-hashing the entire payload (v1's
+/// per-device cost).
 #[derive(Clone, Debug)]
 pub(crate) enum SignaturePlan {
     /// v1: each device hashes `AAD ‖ payload` itself.
     Single,
-    /// v2: shared plaintext leaf digests, folded per device.
+    /// v2: shared plaintext leaf digests and their `tree::merkle_root`,
+    /// bound to each device's AAD.
     Segmented {
         segment_len: u32,
         leaves: Vec<Digest>,
+        root: Digest,
     },
 }
 
@@ -323,14 +322,14 @@ impl SoftwareSource {
             // The shared leaf table is hashed through the multi-buffer
             // engine: full segments share one length, so up to 8 leaves
             // compress per wide kernel call.
-            SignatureScheme::Segmented { segment_len } => SignaturePlan::Segmented {
-                segment_len,
-                leaves: tree::leaf_digests_batch(0, &payload, segment_len as usize),
-            },
-        };
-        let leaf_root = match &signature_plan {
-            SignaturePlan::Single => tree::merkle_root(&[]),
-            SignaturePlan::Segmented { leaves, .. } => tree::merkle_root(leaves),
+            SignatureScheme::Segmented { segment_len } => {
+                let leaves = tree::leaf_digests_batch(0, &payload, segment_len as usize);
+                SignaturePlan::Segmented {
+                    segment_len,
+                    root: tree::merkle_root(&leaves),
+                    leaves,
+                }
+            }
         };
 
         Ok(PreparedImage {
@@ -344,7 +343,6 @@ impl SoftwareSource {
             map,
             payload,
             signature_plan,
-            leaf_root,
         })
     }
 
@@ -381,9 +379,9 @@ impl SoftwareSource {
     ///    the signature is computed over `&out[..aad_len]` in place —
     ///    v1 hashes `AAD ‖ payload` per device, v2 only binds the
     ///    shared leaf table's prepared Merkle root to the AAD;
-    /// 2. the shared plaintext payload is keystream-XORed into the
-    ///    frame as it is copied ([`transform_payload_into`]), and the
-    ///    manifest leaves are encrypted in place after being appended.
+    /// 2. the manifest leaves and the shared plaintext payload are
+    ///    each appended and then encrypted in place
+    ///    ([`transform_payload`] for the payload).
     ///
     /// Thread-safe: many workers may call this concurrently on one
     /// shared [`PreparedImage`]; each call draws a unique nonce from
@@ -477,7 +475,8 @@ impl SoftwareSource {
             SignaturePlan::Segmented {
                 segment_len,
                 leaves,
-            } => signed_root(out, *segment_len, leaves.len(), &prepared.leaf_root),
+                root,
+            } => signed_root(out, *segment_len, leaves.len(), root),
         };
 
         let key = self.kmu.package_key(&cred.key, nonce);
@@ -490,6 +489,7 @@ impl SoftwareSource {
         if let SignaturePlan::Segmented {
             segment_len,
             leaves,
+            ..
         } = &prepared.signature_plan
         {
             out.extend_from_slice(&segment_len.to_le_bytes());
@@ -502,9 +502,10 @@ impl SoftwareSource {
             // keystream range; encrypt them in place in a single pass.
             cipher.apply(manifest_stream_offset(payload_len), &mut out[leaves_at..]);
         }
-        transform_payload_into(
-            &prepared.payload,
-            out,
+        let payload_at = out.len();
+        out.extend_from_slice(&prepared.payload);
+        transform_payload(
+            &mut out[payload_at..],
             &prepared.map,
             prepared.policy,
             prepared.text_len as usize,

@@ -29,8 +29,7 @@ pub const KEYSTREAM_CHUNK: usize = 4096;
 ///
 /// The trait is *block-oriented*: implementations materialize whole
 /// keystream runs with [`KeystreamCipher::fill_keystream`], and the
-/// XOR-in helpers ([`KeystreamCipher::apply`],
-/// [`KeystreamCipher::apply_selected`]) are built on top of it. The
+/// XOR-in helper [`KeystreamCipher::apply`] is built on top of it. The
 /// per-byte [`KeystreamCipher::keystream_byte`] remains as the
 /// correctness *oracle*: tests check that block fills match it
 /// byte-for-byte, but no hot path calls it.
@@ -66,35 +65,6 @@ pub trait KeystreamCipher {
             self.fill_keystream(offset + done as u64, &mut ks[..n]);
             for (b, k) in buf[done..done + n].iter_mut().zip(&ks[..n]) {
                 *b ^= *k;
-            }
-            done += n;
-        }
-    }
-
-    /// XOR the keystream into `buf` only where `select` returns `true`
-    /// for the absolute byte position.
-    ///
-    /// Auxiliary API: the production partial-encryption path does *not*
-    /// go through a predicate — it iterates the coverage map's
-    /// contiguous runs (`CoverageMap::covered_runs` in `eric-hde`) and
-    /// XORs each run with [`KeystreamCipher::apply`]. This method is
-    /// the generic arbitrary-selection form for custom consumers and
-    /// equivalence tests.
-    ///
-    /// Takes a `&dyn Fn` so the method stays object-safe and remains
-    /// callable through `&dyn KeystreamCipher` (the shape every package
-    /// consumer holds after [`crate::cipher::CipherKind::instantiate`]).
-    fn apply_selected(&self, offset: u64, buf: &mut [u8], select: &dyn Fn(u64) -> bool) {
-        let mut ks = [0u8; KEYSTREAM_CHUNK];
-        let mut done = 0usize;
-        while done < buf.len() {
-            let n = (buf.len() - done).min(KEYSTREAM_CHUNK);
-            let base = offset + done as u64;
-            self.fill_keystream(base, &mut ks[..n]);
-            for (i, (b, k)) in buf[done..done + n].iter_mut().zip(&ks[..n]).enumerate() {
-                if select(base + i as u64) {
-                    *b ^= *k;
-                }
             }
             done += n;
         }
@@ -477,42 +447,6 @@ mod tests {
         for period in 1..=64usize {
             let repeats = (0..(256 - period)).all(|i| stream[i] == stream[i + period]);
             assert!(!repeats, "unexpected period {period}");
-        }
-    }
-
-    #[test]
-    fn apply_selected_touches_only_selected_positions() {
-        let c = XorCipher::new(&[0xFF]);
-        let mut data = vec![0u8; 16];
-        c.apply_selected(0, &mut data, &|pos| pos % 2 == 0);
-        for (i, b) in data.iter().enumerate() {
-            if i % 2 == 0 {
-                assert_eq!(*b, 0xFF);
-            } else {
-                assert_eq!(*b, 0x00);
-            }
-        }
-    }
-
-    #[test]
-    fn apply_selected_works_through_trait_object() {
-        // Regression: apply_selected used to be `Self: Sized`-bound and
-        // unusable through `&dyn KeystreamCipher`, the shape every
-        // consumer of CipherKind::instantiate holds.
-        for kind in [CipherKind::Xor, CipherKind::ShaCtr] {
-            let boxed = kind.instantiate(&[3, 1, 4, 1, 5]);
-            let dyn_cipher: &dyn KeystreamCipher = boxed.as_ref();
-            let mut data = vec![0u8; 64];
-            dyn_cipher.apply_selected(7, &mut data, &|pos| pos % 3 == 0);
-            for (i, b) in data.iter().enumerate() {
-                let pos = 7 + i as u64;
-                let expect = if pos.is_multiple_of(3) {
-                    dyn_cipher.keystream_byte(pos)
-                } else {
-                    0
-                };
-                assert_eq!(*b, expect, "position {pos}");
-            }
         }
     }
 

@@ -33,10 +33,10 @@ use crate::map::CoverageMap;
 use crate::policy::FieldPolicy;
 use crate::timing::{HdeCycles, HdeTimingConfig};
 use crate::transform::{transform_region, transform_signature};
-use crate::units::{KeyUnit, SignatureGenerator, ValidationUnit};
+use crate::units::KeyUnit;
 use crate::verify::{FrameParams, SegmentVerifier};
 use eric_crypto::cipher::CipherKind;
-use eric_crypto::sha256::{tree, Digest};
+use eric_crypto::sha256::{tree, Digest, Sha256};
 use eric_puf::crp::Challenge;
 use eric_puf::device::PufDevice;
 use std::fmt;
@@ -88,12 +88,13 @@ pub struct LoadedProgram {
     /// Cycles the HDE spent.
     pub cycles: HdeCycles,
     /// Per-segment leaf digests of `plaintext`, in segment order: the
-    /// table the Signature Generator recomputed, ct-compared against
-    /// the shipped manifest and folded into the validated signed root
-    /// during this load. Empty for a v1 single-digest package.
+    /// manifest table this load authenticated against the signed root
+    /// and matched, in constant time, with the leaf it recomputed for
+    /// every decrypted segment. Empty for a v1 single-digest package.
     pub leaves: Vec<Digest>,
     /// [`tree::merkle_root`] of `leaves`, the root the signed root
-    /// binds, as this load folded it (the empty table's root for v1).
+    /// binds, as manifest authentication folded it (the empty table's
+    /// root for v1).
     pub root: Digest,
 }
 
@@ -112,7 +113,6 @@ impl fmt::Debug for LoadedProgram {
 /// The Hardware Decryption Engine, assembled.
 pub struct SecureLoader {
     keys: KeyUnit,
-    validation: ValidationUnit,
     timing: HdeTimingConfig,
     lanes: usize,
 }
@@ -133,16 +133,9 @@ impl SecureLoader {
     pub fn new(puf: PufDevice) -> Self {
         SecureLoader {
             keys: KeyUnit::new(puf),
-            validation: ValidationUnit::new(),
             timing: HdeTimingConfig::default(),
             lanes: 1,
         }
-    }
-
-    /// Replace the timing constants (for ablation studies).
-    pub fn with_timing(mut self, timing: HdeTimingConfig) -> Self {
-        self.timing = timing;
-        self
     }
 
     /// Set the decryption-lane count (builder style, clamped to ≥ 1).
@@ -158,11 +151,6 @@ impl SecureLoader {
     /// Set the decryption-lane count in place (clamped to ≥ 1).
     pub fn set_lanes(&mut self, lanes: usize) {
         self.lanes = lanes.max(1);
-    }
-
-    /// The decryption-lane count.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// The key unit (for enrollment and epoch rotation).
@@ -183,7 +171,7 @@ impl SecureLoader {
     /// Decrypt, re-hash, and validate a program (paper steps 5–6).
     ///
     /// On success the plaintext is released for loading into the SoC's
-    /// memory, together with the v2 leaf table this pass verified
+    /// memory, together with the v2 leaf table this pass authenticated
     /// ([`LoadedProgram::leaves`]). On any failure the program is
     /// rejected and *no plaintext leaves the HDE* — exactly the
     /// property that defeats wrong-device and tampering attacks.
@@ -195,8 +183,7 @@ impl SecureLoader {
     /// # Errors
     ///
     /// The first failing check, in this order, which
-    /// [`StreamingLoader::process`](crate::StreamingLoader::process)
-    /// shares:
+    /// [`SecureLoader::process_stream`] shares:
     ///
     /// 1. [`HdeError::Malformed`] for a structurally invalid input: a
     ///    manifest that does not cover the payload, a text length past
@@ -210,9 +197,8 @@ impl SecureLoader {
     ///    for another device;
     /// 4. v2: [`HdeError::SegmentMismatch`] naming the first segment
     ///    whose recomputed leaf differs from the authenticated manifest;
-    /// 5. [`HdeError::SignatureMismatch`] when the regenerated
-    ///    signature (v1 digest, or v2 root over the recomputed leaves)
-    ///    differs from the shipped one.
+    /// 5. v1: [`HdeError::SignatureMismatch`] when the regenerated
+    ///    digest differs from the shipped one.
     pub fn process(&self, input: &SecureInput<'_>) -> Result<LoadedProgram, HdeError> {
         let frame = FrameParams {
             aad: input.aad,
@@ -251,22 +237,23 @@ impl SecureLoader {
         // shape of the HDE's decrypt→hash datapath. Chunks are 4-byte
         // aligned so field-level policies never split an instruction
         // word across a chunk boundary.
-        let mut gen = SignatureGenerator::new();
-        gen.absorb(frame.aad);
+        let mut hasher = Sha256::new();
+        hasher.update(frame.aad);
         let mut plaintext = payload.to_vec();
         let mut at = 0usize;
         while at < plaintext.len() {
             let end = (at + STREAM_CHUNK).min(plaintext.len());
             let chunk = &mut plaintext[at..end];
             transform_region(chunk, at, frame.map, frame.policy, frame.text_len, cipher);
-            gen.absorb(chunk);
+            hasher.update(chunk);
             at = end;
         }
-        let computed = gen.finalize();
+        let computed = hasher.finalize();
 
         // Signature continuation stream.
-        let mut signature = encrypted_digest;
-        transform_signature(&mut signature, payload.len(), cipher);
+        let mut shipped = encrypted_digest;
+        transform_signature(&mut shipped, payload.len(), cipher);
+        let shipped = Digest::from_bytes(shipped);
 
         // Validation Unit.
         let cycles = HdeCycles {
@@ -274,11 +261,8 @@ impl SecureLoader {
             hash: self.timing.hash_cycles(plaintext.len()),
             validate: self.timing.validate_cycles,
         };
-        if !self.validation.validate(&computed, &signature) {
-            return Err(HdeError::SignatureMismatch {
-                computed,
-                shipped: Digest::from_bytes(signature),
-            });
+        if !computed.ct_eq(&shipped) {
+            return Err(HdeError::SignatureMismatch { computed, shipped });
         }
         Ok(LoadedProgram {
             plaintext,
@@ -295,7 +279,9 @@ impl SecureLoader {
     /// one batched call — no shared hash state between lanes (thread
     /// parallelism), up to 8 leaves per compress within a lane (width
     /// parallelism). This is what makes the signature check scale
-    /// where v1's single Merkle–Damgård chain cannot.
+    /// where v1's single Merkle–Damgård chain cannot. The lane blocks
+    /// tile the payload, so every leaf of the authenticated table is
+    /// matched before the table is released.
     fn process_segmented(
         &self,
         frame: FrameParams<'_>,
@@ -307,18 +293,20 @@ impl SecureLoader {
         let mut plaintext = payload.to_vec();
         // Lanes report in segment order, so the first error collected
         // names the first bad segment whatever the lane count.
-        let blocks = crate::parallel::map_lane_blocks(
+        crate::parallel::map_lane_blocks(
             &mut plaintext,
             manifest.segment_len() as usize,
             self.lanes,
-            |first, _, block| vec![verifier.verify_block(first, block)],
-        );
-        let recomputed = blocks.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let (leaves, root) = verifier.finish(recomputed.concat())?;
+            |first, _, block| verifier.verify_block(first, block),
+        )
+        .into_iter()
+        .collect::<Result<(), _>>()?;
+        let cycles = verifier.cycles(self.lanes);
+        let (leaves, root) = verifier.into_table();
         Ok(LoadedProgram {
             plaintext,
             text_len: frame.text_len,
-            cycles: verifier.cycles(self.lanes),
+            cycles,
             leaves,
             root,
         })

@@ -58,7 +58,7 @@ impl ParcelBitmap {
     }
 
     /// Serialized size in bytes (what the package carries).
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.bits.len()
     }
 
@@ -117,7 +117,7 @@ impl ParcelBitmap {
 
     /// Index of the first marked parcel at or after `from`, skipping
     /// whole all-clear bitmap bytes (8 parcels per step).
-    pub fn next_set(&self, from: usize) -> Option<usize> {
+    pub(crate) fn next_set(&self, from: usize) -> Option<usize> {
         let mut i = from;
         while i < self.parcels {
             let byte = self.bits[i / 8];
@@ -139,7 +139,7 @@ impl ParcelBitmap {
     /// Index of the first *clear* parcel at or after `from` (which is
     /// `parcels` when the rest of the map is solid), skipping whole
     /// all-set bitmap bytes.
-    pub fn next_clear(&self, from: usize) -> usize {
+    pub(crate) fn next_clear(&self, from: usize) -> usize {
         let mut i = from;
         while i < self.parcels {
             let byte = self.bits[i / 8];
@@ -213,20 +213,6 @@ impl CoverageMap {
         match self {
             CoverageMap::Full => 0,
             CoverageMap::Partial(map) => map.byte_len(),
-        }
-    }
-
-    /// Fraction of parcels encrypted, in [0, 1].
-    pub fn coverage(&self) -> f64 {
-        match self {
-            CoverageMap::Full => 1.0,
-            CoverageMap::Partial(map) => {
-                if map.parcels() == 0 {
-                    0.0
-                } else {
-                    map.count_ones() as f64 / map.parcels() as f64
-                }
-            }
         }
     }
 }
@@ -332,7 +318,6 @@ mod tests {
         assert!(m.covers_byte(0));
         assert!(m.covers_byte(12345));
         assert_eq!(m.wire_len(), 0);
-        assert_eq!(m.coverage(), 1.0);
     }
 
     #[test]
@@ -431,6 +416,5 @@ mod tests {
         assert!(m.covers_byte(2));
         assert!(m.covers_byte(3));
         assert!(!m.covers_byte(4));
-        assert_eq!(m.coverage(), 0.25);
     }
 }

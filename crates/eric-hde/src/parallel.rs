@@ -10,10 +10,11 @@
 //! [`map_lane_blocks`] is the lane pool itself: it tiles a payload
 //! into fixed-size segments, groups contiguous segments into one block
 //! per lane, and runs a caller-supplied per-block function on
-//! `std::thread::scope` threads, concatenating the results in segment
-//! order. The secure loader drives it with a decrypt-and-leaf-hash
-//! closure for segmented (v2) packages, and the parallel-decrypt
-//! ablation bench with a decrypt-only closure over one block per lane.
+//! `std::thread::scope` threads, returning one result per block in
+//! segment order. The secure loader drives it with a
+//! decrypt-and-verify closure for segmented (v2) packages, and the
+//! parallel-decrypt ablation bench with a decrypt-only closure over one
+//! block per lane.
 //! [`parallel_cycles`] is the matching *cycle model* (what an n-lane
 //! HDE would cost in hardware).
 
@@ -42,13 +43,13 @@ pub fn parallel_cycles(timing: &HdeTimingConfig, bytes: usize, lanes: usize) -> 
 /// Tile `payload` into `segment_len`-byte segments, group contiguous
 /// segments into one *block* per lane, and run
 /// `f(first_segment_index, absolute_offset, lane_block)` once per lane
-/// block across up to `lanes` scoped OS threads, concatenating the
-/// per-block result vectors in segment order.
+/// block across up to `lanes` scoped OS threads, returning the
+/// per-block results in segment order (none for an empty payload).
 ///
 /// This is the lane pool's primitive shape: each lane sees its whole
 /// contiguous span at once, so a lane can batch work *across* its
-/// segments — the secure loader decrypts a lane block chunk-wise and
-/// then leaf-hashes all of its full segments through the multi-buffer
+/// segments — the secure loader decrypts a lane block and then
+/// leaf-hashes all of its full segments through the multi-buffer
 /// SHA-256 engine in one call, which a per-segment closure could never
 /// express. Every block sees its true absolute payload offset, which
 /// is all a keystream cipher or a coverage map needs to produce output
@@ -63,7 +64,7 @@ pub fn parallel_cycles(timing: &HdeTimingConfig, bytes: usize, lanes: usize) -> 
 pub fn map_lane_blocks<T, F>(payload: &mut [u8], segment_len: usize, lanes: usize, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, usize, &mut [u8]) -> Vec<T> + Sync,
+    F: Fn(usize, usize, &mut [u8]) -> T + Sync,
 {
     assert!(lanes > 0, "at least one decryption lane required");
     assert!(segment_len > 0, "segment length must be positive");
@@ -73,7 +74,7 @@ where
     let segments = payload.len().div_ceil(segment_len);
     let per_lane = segments.div_ceil(lanes);
     if lanes == 1 || segments == 1 {
-        return f(0, 0, payload);
+        return vec![f(0, 0, payload)];
     }
     std::thread::scope(|scope| {
         let handles: Vec<_> = payload
@@ -89,7 +90,7 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("decryption lane panicked"))
+            .map(|h| h.join().expect("decryption lane panicked"))
             .collect()
     })
 }
@@ -109,7 +110,6 @@ mod tests {
         let per_lane = payload.len().div_ceil(lanes).max(1);
         map_lane_blocks(payload, per_lane, lanes, |_, offset, block| {
             cipher.apply(offset as u64, block);
-            Vec::<()>::new()
         });
     }
 
@@ -125,8 +125,11 @@ mod tests {
                 .chunks_mut(segment_len)
                 .enumerate()
                 .map(|(j, segment)| f(first + j, start + j * segment_len, segment))
-                .collect()
+                .collect::<Vec<_>>()
         })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     #[test]
@@ -244,20 +247,23 @@ mod tests {
     #[test]
     fn map_lane_blocks_hands_out_contiguous_spans() {
         // Every lane block starts at a segment boundary, covers whole
-        // segments (ragged tail excepted), and the concatenated results
+        // segments (ragged tail excepted), and the per-block results
         // come back in segment order.
         for len in [1usize, 7, 8, 9, 64, 65, 100, 1000] {
             for lanes in [1usize, 2, 3, 4, 7, 16] {
                 let mut buf = vec![0u8; len];
-                let out = map_lane_blocks(&mut buf, 8, lanes, |first, start, block| {
+                let out: Vec<_> = map_lane_blocks(&mut buf, 8, lanes, |first, start, block| {
                     assert_eq!(start, first * 8, "block offset");
                     assert_eq!(start % 8, 0, "block must start on a segment boundary");
                     block
                         .chunks(8)
                         .enumerate()
                         .map(|(j, seg)| (first + j, seg.len()))
-                        .collect()
-                });
+                        .collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect();
                 assert_eq!(out.len(), len.div_ceil(8), "len {len}, {lanes} lanes");
                 for (k, (index, seg_len)) in out.iter().enumerate() {
                     assert_eq!(*index, k);

@@ -1,11 +1,13 @@
 //! Streaming secure loading: bounded-memory decrypt → verify → release.
 //!
-//! [`crate::loader::SecureLoader::process`] needs the whole encrypted
-//! payload in memory before the first byte is verified — fine on a
-//! workstation, a non-starter on a constrained device installing a
+//! [`SecureLoader::process`] needs the whole encrypted payload in
+//! memory before the first byte is verified — fine on a workstation, a
+//! non-starter on a constrained device installing a
 //! multi-hundred-megabyte image over a slow link. The segmented (v2)
 //! scheme already gives every 64 KiB segment its own leaf digest;
-//! [`StreamingLoader`] turns that into an actual streaming install:
+//! [`SecureLoader::process_stream`] and
+//! [`SecureLoader::process_stream_with`] turn that into an actual
+//! streaming install:
 //!
 //! 1. **Incremental parse** — the `ERIC2` wire frame is consumed from
 //!    any [`std::io::Read`] source through the one frame parser,
@@ -24,22 +26,22 @@
 //!    the authenticated manifest. Only a verified segment is released
 //!    to the sink; the first mismatch aborts the load with
 //!    [`HdeError::SegmentMismatch`] naming the segment.
-//! 4. **Root fold at the end** — the recomputed leaves are folded into
-//!    the signed root once more after the last segment
-//!    ([`SegmentVerifier::finish`]), exactly as in the buffered loader.
+//! 4. **The authenticated table at the end** — once every segment has
+//!    matched and the frame has ended, the load returns the table and
+//!    root that step 2 authenticated ([`SegmentVerifier::into_table`]),
+//!    exactly as the buffered loader does.
 //!
 //! Peak *payload* working set is one segment buffer — O(segment_len),
 //! independent of image size. Frame metadata (header, map, manifest) is
-//! buffered for the whole load and reported separately in
-//! [`StreamReport::metadata_bytes`]: the manifest costs 32 bytes per
-//! segment and a partial map one bit per parcel, both ≪ payload.
+//! buffered for the whole load: the manifest costs 32 bytes per segment
+//! and a partial map one bit per parcel, both ≪ payload.
 
 use crate::error::HdeError;
 use crate::loader::{LoadedProgram, SecureLoader};
 use crate::manifest::SignatureBlock;
 use crate::timing::HdeCycles;
 use crate::verify::{FrameParams, SegmentVerifier};
-use crate::wire::{map_wire_len, FrameReader};
+use crate::wire::FrameReader;
 use eric_crypto::sha256::Digest;
 use eric_puf::crp::Challenge;
 use std::io::Read;
@@ -60,27 +62,12 @@ pub struct StreamReport {
     /// buffer, `min(segment_len, payload_len)`. This is the bound the
     /// streaming path exists for — O(segment), never O(image).
     pub peak_buffered: usize,
-    /// Frame metadata buffered for the whole load: header/AAD, coverage
-    /// map, encrypted root, and the leaf table (32 bytes per segment).
-    pub metadata_bytes: usize,
 }
 
-/// A bounded-memory front end for a [`SecureLoader`].
-///
-/// Borrows the loader for its key unit and timing model; the buffered
-/// [`SecureLoader::process`] stays available as the byte-equality
-/// oracle.
-#[derive(Debug)]
-pub struct StreamingLoader<'l> {
-    loader: &'l SecureLoader,
-}
-
-impl<'l> StreamingLoader<'l> {
-    /// Wrap a loader for streaming installs.
-    pub fn new(loader: &'l SecureLoader) -> Self {
-        StreamingLoader { loader }
-    }
-
+/// The bounded-memory entry points. They share the key unit and timing
+/// model of the buffered [`SecureLoader::process`], which stays the
+/// byte-equality oracle.
+impl SecureLoader {
     /// Stream a full `ERIC2` wire frame and collect the verified
     /// plaintext and leaf table — the drop-in replacement for parsing
     /// a frame and calling [`SecureLoader::process`], pinned
@@ -93,15 +80,14 @@ impl<'l> StreamingLoader<'l> {
     /// problems (including a non-`ERIC2` frame), then
     /// [`HdeError::WrongEpoch`], then [`HdeError::SignatureMismatch`]
     /// for a manifest that fails authentication, then
-    /// [`HdeError::SegmentMismatch`] naming the first bad segment, then
-    /// [`HdeError::SignatureMismatch`] from the final root fold. A
+    /// [`HdeError::SegmentMismatch`] naming the first bad segment. A
     /// stream that ends early is [`HdeError::Malformed`] when the read
     /// runs dry, after every complete segment before it has been
     /// checked; the frame must be the whole stream, so a byte after
     /// the last segment is [`HdeError::Malformed`] too.
-    pub fn process<R: Read>(&self, source: R) -> Result<LoadedProgram, HdeError> {
+    pub fn process_stream<R: Read>(&self, source: R) -> Result<LoadedProgram, HdeError> {
         let mut plaintext = Vec::new();
-        let (report, (leaves, root)) = self.verify(source, |_, segment: &[u8]| {
+        let (report, (leaves, root)) = self.stream(source, |_, segment: &[u8]| {
             plaintext.extend_from_slice(segment);
         })?;
         Ok(LoadedProgram {
@@ -127,19 +113,19 @@ impl<'l> StreamingLoader<'l> {
     ///
     /// # Errors
     ///
-    /// See [`StreamingLoader::process`].
-    pub fn process_with<R: Read, F: FnMut(usize, &[u8])>(
+    /// See [`SecureLoader::process_stream`].
+    pub fn process_stream_with<R: Read, F: FnMut(usize, &[u8])>(
         &self,
         source: R,
         sink: F,
     ) -> Result<StreamReport, HdeError> {
-        self.verify(source, sink).map(|(report, _)| report)
+        self.stream(source, sink).map(|(report, _)| report)
     }
 
     /// The streaming driver behind both entry points: also returns the
-    /// recomputed leaf table, every entry of which matched the
-    /// authenticated manifest, and its Merkle root.
-    fn verify<R: Read, F: FnMut(usize, &[u8])>(
+    /// authenticated leaf table, every entry of which matched its
+    /// decrypted segment, and its Merkle root.
+    fn stream<R: Read, F: FnMut(usize, &[u8])>(
         &self,
         source: R,
         mut sink: F,
@@ -172,17 +158,17 @@ impl<'l> StreamingLoader<'l> {
             text_len,
             payload_len,
         };
-        let verifier = SegmentVerifier::new(self.loader, frame, *encrypted_root, manifest)?;
+        let verifier = SegmentVerifier::new(self, frame, *encrypted_root, manifest)?;
 
         // Read → verify → release. One reused segment buffer is the
-        // entire payload working set.
+        // entire payload working set, and the loop visits every
+        // segment the manifest covers.
         let segment_len = manifest.segment_len() as usize;
         let mut segment_buf = vec![0u8; segment_len.min(payload_len)];
-        let mut recomputed = Vec::with_capacity(manifest.segments());
         for (index, start) in (0..payload_len).step_by(segment_len).enumerate() {
             let segment = &mut segment_buf[..segment_len.min(payload_len - start)];
             reader.fill(segment, "payload segment")?;
-            recomputed.extend(verifier.verify_block(index, segment)?);
+            verifier.verify_block(index, segment)?;
             sink(index, segment);
         }
         reader.end()?;
@@ -193,9 +179,8 @@ impl<'l> StreamingLoader<'l> {
             segments: manifest.segments(),
             cycles: verifier.cycles(1),
             peak_buffered: segment_buf.len(),
-            metadata_bytes: aad.len() + map_wire_len(&head.map) + head.signature.wire_len(),
         };
-        Ok((report, verifier.finish(recomputed)?))
+        Ok((report, verifier.into_table()))
     }
 }
 
@@ -278,9 +263,7 @@ mod tests {
         let l = loader(31);
         let payload: Vec<u8> = (0..5 * 64 + 18).map(|i| (i * 13 % 251) as u8).collect();
         let frame = wire_frame(&l, 4, &payload, 64);
-        let streamed = StreamingLoader::new(&l)
-            .process(frame.as_slice())
-            .expect("streams");
+        let streamed = l.process_stream(frame.as_slice()).expect("streams");
         assert_eq!(streamed.plaintext, payload);
         assert_eq!(streamed.text_len, payload.len() / 2);
 
@@ -324,8 +307,8 @@ mod tests {
         let payload = vec![7u8; 16 * 64 + 5];
         let frame = wire_frame(&l, 9, &payload, 64);
         let mut out = Vec::new();
-        let report = StreamingLoader::new(&l)
-            .process_with(frame.as_slice(), |_, seg| out.extend_from_slice(seg))
+        let report = l
+            .process_stream_with(frame.as_slice(), |_, seg| out.extend_from_slice(seg))
             .expect("streams");
         assert_eq!(report.peak_buffered, 64);
         assert_eq!(report.segments, 17);
@@ -337,11 +320,13 @@ mod tests {
         let l = loader(33);
         let payload: Vec<u8> = (0..200).map(|i| i as u8).collect();
         let frame = wire_frame(&l, 2, &payload, 64);
-        let s = StreamingLoader::new(&l);
         for len in 0..frame.len() {
-            assert!(s.process(&frame[..len]).is_err(), "truncation to {len}");
+            assert!(
+                l.process_stream(&frame[..len]).is_err(),
+                "truncation to {len}"
+            );
         }
-        assert!(s.process(frame.as_slice()).is_ok());
+        assert!(l.process_stream(frame.as_slice()).is_ok());
     }
 
     #[test]
@@ -352,8 +337,8 @@ mod tests {
         let payload_at = frame.len() - payload.len();
         frame[payload_at + 130] ^= 1; // inside segment 2
         let mut released = 0usize;
-        let err = StreamingLoader::new(&l)
-            .process_with(frame.as_slice(), |_, seg| released += seg.len())
+        let err = l
+            .process_stream_with(frame.as_slice(), |_, seg| released += seg.len())
             .unwrap_err();
         assert!(
             matches!(err, HdeError::SegmentMismatch { segment: 2 }),
@@ -371,8 +356,8 @@ mod tests {
         let leaf0_at = HEADER_FIXED_LEN + 32 + 1 + 32 + 8;
         frame[leaf0_at] ^= 1;
         let mut released = 0usize;
-        let err = StreamingLoader::new(&l)
-            .process_with(frame.as_slice(), |_, seg| released += seg.len())
+        let err = l
+            .process_stream_with(frame.as_slice(), |_, seg| released += seg.len())
             .unwrap_err();
         assert!(matches!(err, HdeError::SignatureMismatch { .. }), "{err}");
         assert_eq!(
@@ -387,9 +372,7 @@ mod tests {
         let payload = vec![1u8; 64];
         let mut frame = wire_frame(&l, 6, &payload, 64);
         frame[4] = b'1';
-        let err = StreamingLoader::new(&l)
-            .process(frame.as_slice())
-            .unwrap_err();
+        let err = l.process_stream(frame.as_slice()).unwrap_err();
         let HdeError::Malformed(m) = err else {
             panic!("expected Malformed, got {err}");
         };
@@ -408,9 +391,7 @@ mod tests {
         forged.push(4); // granularity
         forged.extend_from_slice(&u32::MAX.to_le_bytes()); // parcel count
         forged.extend_from_slice(&frame[HEADER_FIXED_LEN + 32 + 1..]);
-        let err = StreamingLoader::new(&l)
-            .process(forged.as_slice())
-            .unwrap_err();
+        let err = l.process_stream(forged.as_slice()).unwrap_err();
         assert!(matches!(err, HdeError::Malformed(_)), "{err}");
     }
 
@@ -433,9 +414,7 @@ mod tests {
     fn empty_payload_streams() {
         let l = loader(38);
         let frame = wire_frame(&l, 8, &[], 64);
-        let out = StreamingLoader::new(&l)
-            .process(frame.as_slice())
-            .expect("empty ok");
+        let out = l.process_stream(frame.as_slice()).expect("empty ok");
         assert!(out.plaintext.is_empty());
     }
 }

@@ -21,7 +21,7 @@ use eric_crypto::cipher::{KeystreamCipher, KEYSTREAM_CHUNK};
 /// Keystream position where the encrypted signature begins: it is
 /// encrypted as a continuation of the payload stream, so its keystream
 /// never overlaps the program's.
-pub fn signature_stream_offset(payload_len: usize) -> u64 {
+fn signature_stream_offset(payload_len: usize) -> u64 {
     payload_len as u64
 }
 
@@ -180,33 +180,6 @@ fn transform_text_run(
         }
         at += fill_len;
     }
-}
-
-/// Append `plain` to `out` and keystream-transform the appended bytes
-/// in place — the zero-copy packaging entry point.
-///
-/// The appended region is treated as a whole payload starting at
-/// absolute offset 0 (keystream positions, map parcels, and the
-/// text/data split are all relative to the append point), so the bytes
-/// that land in `out` are bit-identical to cloning `plain` and calling
-/// [`transform_payload`] on the clone — without the intermediate
-/// payload-sized allocation. Fleet packaging uses this to encrypt a
-/// shared plaintext payload directly into each device's wire frame.
-///
-/// # Panics
-///
-/// Same contract as [`transform_payload`] for field-level policies.
-pub fn transform_payload_into(
-    plain: &[u8],
-    out: &mut Vec<u8>,
-    map: &CoverageMap,
-    policy: Option<FieldPolicy>,
-    text_len: usize,
-    cipher: &dyn KeystreamCipher,
-) {
-    let start = out.len();
-    out.extend_from_slice(plain);
-    transform_payload(&mut out[start..], map, policy, text_len, cipher);
 }
 
 /// Per-byte reference implementation of [`transform_payload`] — the
@@ -509,31 +482,6 @@ mod tests {
             }
         }
         CoverageMap::Partial(bm)
-    }
-
-    #[test]
-    fn transform_into_appends_and_matches_in_place() {
-        let c = cipher();
-        let len = 1024 + 37;
-        let plain = xorshift_bytes(41, len);
-        for granularity in [2u32, 4] {
-            for map in [CoverageMap::Full, random_map(8, len, granularity)] {
-                for (policy, text_len) in [
-                    (None, len),
-                    (Some(FieldPolicy::MemoryPointers), len / 4 * 4),
-                ] {
-                    let mut whole = plain.clone();
-                    transform_payload(&mut whole, &map, policy, text_len, &c);
-                    // Appended after an arbitrary dirty prefix, which
-                    // must survive untouched.
-                    let prefix = xorshift_bytes(77, 93);
-                    let mut out = prefix.clone();
-                    transform_payload_into(&plain, &mut out, &map, policy, text_len, &c);
-                    assert_eq!(&out[..prefix.len()], &prefix[..]);
-                    assert_eq!(&out[prefix.len()..], &whole[..]);
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! The HDE's internal units (paper §III-2).
+//! The HDE's key unit (paper §III-2): the PUF Key Generator and Key
+//! Management Unit, which share the device's PUF bank and key epoch.
 
-use eric_crypto::ct::ct_eq;
 use eric_crypto::kdf::{DerivedKey, KeyManagementUnit};
-use eric_crypto::sha256::{Digest, Sha256};
 use eric_puf::crp::{respond, Challenge};
 use eric_puf::device::PufDevice;
 use std::fmt;
@@ -70,59 +69,9 @@ impl KeyUnit {
     }
 }
 
-/// Streaming signature regeneration: hashes the program as it leaves
-/// the Decryption Unit.
-#[derive(Clone, Debug, Default)]
-pub struct SignatureGenerator {
-    state: Sha256,
-    bytes: u64,
-}
-
-impl SignatureGenerator {
-    /// Fresh hash state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb a chunk of decrypted program bytes.
-    pub fn absorb(&mut self, chunk: &[u8]) {
-        self.state.update(chunk);
-        self.bytes += chunk.len() as u64;
-    }
-
-    /// Bytes absorbed so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Finish and produce the signature.
-    pub fn finalize(self) -> Digest {
-        self.state.finalize()
-    }
-}
-
-/// The Validation Unit: compares the regenerated signature against the
-/// decrypted shipped signature in constant time and authorizes
-/// execution only on a match (paper step 6).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ValidationUnit;
-
-impl ValidationUnit {
-    /// Create a validation unit.
-    pub fn new() -> Self {
-        ValidationUnit
-    }
-
-    /// `true` when the program may be released to the trusted zone.
-    pub fn validate(&self, computed: &Digest, shipped: &[u8; 32]) -> bool {
-        ct_eq(computed.as_bytes(), shipped)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eric_crypto::sha256::sha256;
     use eric_puf::device::PufDeviceConfig;
 
     fn key_unit(seed: u64) -> KeyUnit {
@@ -155,26 +104,5 @@ mod tests {
         let a = unit.package_key(&ch, 0, 1);
         let b = unit.package_key(&ch, 0, 2);
         assert!(!a.ct_eq(&b));
-    }
-
-    #[test]
-    fn streaming_signature_matches_oneshot() {
-        let data: Vec<u8> = (0u16..500).map(|i| (i % 256) as u8).collect();
-        let mut gen = SignatureGenerator::new();
-        for chunk in data.chunks(7) {
-            gen.absorb(chunk);
-        }
-        assert_eq!(gen.bytes(), 500);
-        assert_eq!(gen.finalize(), sha256(&data));
-    }
-
-    #[test]
-    fn validation_unit_accepts_match_rejects_mismatch() {
-        let v = ValidationUnit::new();
-        let d = sha256(b"program");
-        assert!(v.validate(&d, d.as_bytes()));
-        let mut bad = *d.as_bytes();
-        bad[31] ^= 1;
-        assert!(!v.validate(&d, &bad));
     }
 }

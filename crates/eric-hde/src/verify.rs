@@ -1,8 +1,8 @@
 //! The one segment verifier behind every segmented (v2) entry point.
 //!
-//! [`SecureLoader::process`], [`StreamingLoader`](crate::StreamingLoader)
-//! and `eric-core`'s delta patcher all drive [`SegmentVerifier`], so a
-//! v2 load runs the same checks in the same order wherever it enters:
+//! [`SecureLoader::process`], [`SecureLoader::process_stream`] and
+//! `eric-core`'s delta patcher all drive [`SegmentVerifier`], so a v2
+//! load runs the same checks in the same order wherever it enters:
 //!
 //! 1. structural checks, then the epoch check, then key derivation
 //!    (`FrameParams::keystream`, shared with v1);
@@ -12,10 +12,10 @@
 //! 3. per block of whole segments: decrypt → one batched
 //!    [`tree::leaf_digests_batch`] → constant-time compare against the
 //!    authenticated table ([`SegmentVerifier::verify_block`]);
-//! 4. a full load folds the recomputed leaves into the signed root
-//!    once more ([`SegmentVerifier::finish`]); a delta takes the
-//!    authenticated table and its root as they are
-//!    ([`SegmentVerifier::into_table`]). One cycle model covers both.
+//! 4. every load ends with [`SegmentVerifier::into_table`]: the
+//!    authenticated table and the root step 2 folded, with no second
+//!    fold, since step 3 matched every decrypted segment against that
+//!    table. One cycle model covers every entry point.
 //!
 //! The entry points differ only in how they feed step 3: the buffered
 //! loader hands each decryption lane one block through
@@ -111,7 +111,6 @@ pub struct SegmentVerifier<'a> {
     frame: FrameParams<'a>,
     segment_len: u32,
     cipher: Box<dyn KeystreamCipher + Send + Sync>,
-    root: Digest,
     leaves: Vec<Digest>,
     /// [`tree::merkle_root`] of `leaves`, folded once at authentication.
     tree_root: Digest,
@@ -148,8 +147,8 @@ impl<'a> SegmentVerifier<'a> {
     /// keystream (a delta rebuilds it from the installed image's cache
     /// plus the shipped replacements, after checking its base), and
     /// the table must fold to the decrypted `encrypted_root`
-    /// ([`HdeError::SignatureMismatch`] otherwise). The table is folded
-    /// here once; [`SegmentVerifier::into_table`] hands its root out.
+    /// ([`HdeError::SignatureMismatch`] otherwise). This is the load's
+    /// one fold; [`SegmentVerifier::into_table`] hands its root out.
     pub fn authenticate<E: From<HdeError>>(
         loader: &SecureLoader,
         frame: FrameParams<'a>,
@@ -159,29 +158,31 @@ impl<'a> SegmentVerifier<'a> {
     ) -> Result<Self, E> {
         let cipher = frame.keystream(loader.keys())?;
         let leaves = table(cipher.as_ref())?;
-        let mut root = encrypted_root;
-        transform_signature(&mut root, frame.payload_len, cipher.as_ref());
-        let verifier = SegmentVerifier {
+        let mut shipped = encrypted_root;
+        transform_signature(&mut shipped, frame.payload_len, cipher.as_ref());
+        let shipped = Digest::from_bytes(shipped);
+        let tree_root = tree::merkle_root(&leaves);
+        let computed = signed_root(frame.aad, segment_len, leaves.len(), &tree_root);
+        if !computed.ct_eq(&shipped) {
+            return Err(HdeError::SignatureMismatch { computed, shipped }.into());
+        }
+        Ok(SegmentVerifier {
             timing: *loader.timing(),
             frame,
             segment_len,
             cipher,
-            root: Digest::from_bytes(root),
-            tree_root: tree::merkle_root(&leaves),
             leaves,
-        };
-        verifier.check_root(verifier.leaves.len(), &verifier.tree_root)?;
-        Ok(verifier)
+            tree_root,
+        })
     }
 
     /// Step 3 for a block of whole segments starting at segment
     /// `first` (the payload's last segment may be short): decrypt
     /// `block` in place at its absolute payload offset, leaf-hash it in
     /// one batched call, and compare each leaf in constant time against
-    /// the authenticated table. Returns the recomputed leaves, or
-    /// [`HdeError::SegmentMismatch`] naming the block's first bad
-    /// segment.
-    pub fn verify_block(&self, first: usize, block: &mut [u8]) -> Result<Vec<Digest>, HdeError> {
+    /// the authenticated table. [`HdeError::SegmentMismatch`] names the
+    /// block's first bad segment.
+    pub fn verify_block(&self, first: usize, block: &mut [u8]) -> Result<(), HdeError> {
         let segment_len = self.segment_len as usize;
         // Segment boundaries are 4-aligned, so a field policy never
         // sees a split instruction word.
@@ -203,25 +204,15 @@ impl<'a> SegmentVerifier<'a> {
                 return Err(HdeError::SegmentMismatch { segment });
             }
         }
-        Ok(leaves)
+        Ok(())
     }
 
-    /// Step 4 of a full load: fold the recomputed leaves of the whole
-    /// payload into the signed root once more
-    /// ([`HdeError::SignatureMismatch`] if they do not), and return
-    /// them with their Merkle root. Every leaf has already matched the
-    /// authenticated table, so this is defense in depth.
-    pub fn finish(&self, recomputed: Vec<Digest>) -> Result<(Vec<Digest>, Digest), HdeError> {
-        let tree_root = tree::merkle_root(&recomputed);
-        self.check_root(recomputed.len(), &tree_root)?;
-        Ok((recomputed, tree_root))
-    }
-
-    /// Step 4 of a delta: the authenticated leaf table and the Merkle
-    /// root it was folded to, with no further fold. The caller must
-    /// have passed every segment it decrypted through
-    /// [`SegmentVerifier::verify_block`]; the segments it did not
-    /// decrypt are the ones whose leaves it supplied to `table` from
+    /// Step 4 of every load: the authenticated leaf table and the
+    /// Merkle root it was folded to, with no further fold. The caller
+    /// must have passed every segment it decrypted through
+    /// [`SegmentVerifier::verify_block`]: a full load every segment of
+    /// the payload, a delta the segments it ships. A delta supplied
+    /// the leaves of the segments it did not decrypt to `table` from
     /// storage it already trusts.
     pub fn into_table(self) -> (Vec<Digest>, Digest) {
         (self.leaves, self.tree_root)
@@ -243,18 +234,5 @@ impl<'a> SegmentVerifier<'a> {
             hash: self.timing.hash_cycles(per_lane) + fold_nodes * self.timing.sha_block_cycles,
             validate: self.timing.validate_cycles,
         }
-    }
-
-    /// The signed root binds the AAD and the manifest geometry on top
-    /// of `tree_root`, the Merkle fold of `leaf_count` leaves.
-    fn check_root(&self, leaf_count: usize, tree_root: &Digest) -> Result<(), HdeError> {
-        let computed = signed_root(self.frame.aad, self.segment_len, leaf_count, tree_root);
-        if !computed.ct_eq(&self.root) {
-            return Err(HdeError::SignatureMismatch {
-                computed,
-                shipped: self.root,
-            });
-        }
-        Ok(())
     }
 }

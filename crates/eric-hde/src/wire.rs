@@ -8,9 +8,9 @@
 //!
 //! Every device entry point parses through [`FrameReader`]:
 //! `eric-core`'s `Package::from_wire` over a borrowed slice,
-//! [`StreamingLoader`](crate::StreamingLoader) over any [`Read`]
-//! source, and the `ERIC2D` delta parser through the same header,
-//! challenge and map readers. The packagers write through
+//! [`SecureLoader::process_stream`](crate::SecureLoader::process_stream)
+//! over any [`Read`] source, and the `ERIC2D` delta parser through the
+//! same header, challenge and map readers. The packagers write through
 //! [`FrameHeader::write`], [`write_challenge`] and [`write_map`], so
 //! the bytes a signature covers and the bytes a parser reads share one
 //! layout.

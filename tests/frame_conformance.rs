@@ -9,7 +9,7 @@
 //! appended after its end included) must satisfy:
 //!
 //! * (a) `Package::from_wire` → `SecureLoader::process` and
-//!   `StreamingLoader::process` agree on accept vs reject;
+//!   `SecureLoader::process_stream` agree on accept vs reject;
 //! * (b) only the untouched frame is accepted;
 //! * (c) wherever `Package::from_wire` accepts the frame, both paths
 //!   return the same `HdeError` variant and the same segment index.
@@ -21,7 +21,6 @@
 use eric::core::{DeltaPackage, Device, EncryptionConfig, Frame, Package, SoftwareSource};
 use eric::hde::loader::{SecureInput, SecureLoader};
 use eric::hde::policy::FieldPolicy;
-use eric::hde::streaming::StreamingLoader;
 use eric::hde::HdeError;
 use eric::puf::crp::Challenge;
 use eric::puf::device::{PufDevice, PufDeviceConfig};
@@ -127,9 +126,7 @@ fn same_verdict(a: &HdeError, b: &HdeError) -> bool {
 /// every property it breaks.
 fn violations(loader: &SecureLoader, wire: &[u8], untouched: bool) -> Vec<String> {
     let buffered = buffered(loader, wire);
-    let streamed = StreamingLoader::new(loader)
-        .process(wire)
-        .map(|loaded| loaded.plaintext);
+    let streamed = loader.process_stream(wire).map(|loaded| loaded.plaintext);
     let buffered_accepts = matches!(buffered, Some(Ok(_)));
     let mut out = Vec::new();
     if buffered_accepts != streamed.is_ok() {

@@ -1,5 +1,5 @@
-//! Adversarial stream-conformance: [`StreamingLoader`] vs the buffered
-//! [`SecureLoader::process`] oracle.
+//! Adversarial stream-conformance: [`SecureLoader::process_stream`] vs
+//! the buffered [`SecureLoader::process`] oracle.
 //!
 //! The streaming front end must be *byte-identical* to the buffered
 //! loader on every accepted frame — same plaintext, same text split —
@@ -13,7 +13,6 @@
 use eric::core::{Device, EncryptionConfig, Package, SoftwareSource};
 use eric::hde::loader::{LoadedProgram, SecureInput, SecureLoader};
 use eric::hde::policy::FieldPolicy;
-use eric::hde::streaming::StreamingLoader;
 use eric::hde::HdeError;
 use eric::puf::crp::Challenge;
 use eric::puf::device::{PufDevice, PufDeviceConfig};
@@ -127,11 +126,10 @@ fn streaming_matches_buffered_across_modes_and_chunk_sizes() {
             ..
         } = buffered(&loader, &wire).expect("oracle accepts its own frame");
         assert_eq!(want_leaves.len(), want.len().div_ceil(sl), "{mode}");
-        let streaming = StreamingLoader::new(&loader);
         for chunk in chunks {
             let mut streamed = Vec::new();
-            let report = streaming
-                .process_with(ChunkedReader::new(&wire, chunk), |_, seg| {
+            let report = loader
+                .process_stream_with(ChunkedReader::new(&wire, chunk), |_, seg| {
                     streamed.extend_from_slice(seg);
                 })
                 .unwrap_or_else(|e| panic!("{mode} rejected at chunk {chunk}: {e}"));
@@ -145,8 +143,8 @@ fn streaming_matches_buffered_across_modes_and_chunk_sizes() {
             assert_eq!(report.segments, want.len().div_ceil(sl));
         }
         // The whole-frame convenience path agrees too.
-        let loaded = streaming
-            .process(ChunkedReader::new(&wire, sl))
+        let loaded = loader
+            .process_stream(ChunkedReader::new(&wire, sl))
             .expect("process accepts");
         assert_eq!(loaded.plaintext, want);
         assert_eq!(loaded.leaves, want_leaves, "{mode} leaf tables differ");
@@ -177,9 +175,7 @@ fn forged_leaf_count_is_an_error_not_an_abort() {
     );
 
     let loader = device_loader();
-    let err = StreamingLoader::new(&loader)
-        .process(forged.as_slice())
-        .unwrap_err();
+    let err = loader.process_stream(forged.as_slice()).unwrap_err();
     assert!(matches!(err, HdeError::Malformed(_)), "{err}");
 }
 
@@ -189,9 +185,8 @@ fn forged_leaf_count_is_an_error_not_an_abort() {
 fn every_stream_truncation_is_rejected() {
     let loader = device_loader();
     let wire = build(&EncryptionConfig::full().with_segments(SEGMENT_LEN)).to_wire();
-    let streaming = StreamingLoader::new(&loader);
     for keep in 0..wire.len() {
-        let result = streaming.process(ChunkedReader::new(&wire[..keep], 13));
+        let result = loader.process_stream(ChunkedReader::new(&wire[..keep], 13));
         assert!(result.is_err(), "truncation to {keep} bytes accepted");
     }
 }
@@ -201,7 +196,6 @@ fn every_stream_truncation_is_rejected() {
 #[test]
 fn peak_residency_is_independent_of_image_size() {
     let loader = device_loader();
-    let streaming = StreamingLoader::new(&loader);
     let config = EncryptionConfig::full().with_segments(SEGMENT_LEN);
     let mut peaks = Vec::new();
     for data_words in [100usize, 400, 1600] {
@@ -214,8 +208,8 @@ fn peak_residency_is_independent_of_image_size() {
             .build(&program, &cred, &config)
             .unwrap()
             .to_wire();
-        let report = streaming
-            .process_with(ChunkedReader::new(&wire, 64), |_, _| {})
+        let report = loader
+            .process_stream_with(ChunkedReader::new(&wire, 64), |_, _| {})
             .expect("frame accepted");
         peaks.push((report.payload_len, report.peak_buffered));
     }
@@ -254,10 +248,9 @@ proptest! {
             .to_wire();
         let loader = device_loader();
         let want = buffered(&loader, &wire).expect("oracle accepts").plaintext;
-        let streaming = StreamingLoader::new(&loader);
         let mut streamed = Vec::new();
-        let report = streaming
-            .process_with(ChunkedReader::new(&wire, chunk), |_, seg| {
+        let report = loader
+            .process_stream_with(ChunkedReader::new(&wire, chunk), |_, seg| {
                 streamed.extend_from_slice(seg);
             })
             .expect("streaming accepts");

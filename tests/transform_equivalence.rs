@@ -8,7 +8,7 @@
 //! payload, map, field policy, and cipher — and encrypt ∘ decrypt must
 //! be the identity, since both sides share the one implementation.
 
-use eric::crypto::cipher::{CipherKind, KeystreamCipher};
+use eric::crypto::cipher::CipherKind;
 use eric::hde::map::{CoverageMap, ParcelBitmap};
 use eric::hde::transform::{transform_payload, transform_payload_bytewise, transform_region};
 use eric::hde::FieldPolicy;
@@ -140,30 +140,6 @@ proptest! {
             let slow: Vec<u8> =
                 (0..len as u64).map(|i| cipher.keystream_byte(offset + i)).collect();
             prop_assert_eq!(&fast, &slow, "cipher {} offset {}", kind, offset);
-        }
-    }
-
-    /// apply_selected through a trait object touches exactly the
-    /// selected positions, with keystream bytes matching the oracle.
-    #[test]
-    fn apply_selected_dyn_touches_exactly_selection(
-        key in proptest::collection::vec(any::<u8>(), 1..16),
-        data in proptest::collection::vec(any::<u8>(), 0..400),
-        offset in 0u64..10_000,
-        modulus in 1u64..7,
-    ) {
-        let cipher: Box<dyn KeystreamCipher + Send + Sync> =
-            CipherKind::Xor.instantiate(&key);
-        let mut buf = data.clone();
-        cipher.apply_selected(offset, &mut buf, &|pos| pos % modulus == 0);
-        for (i, (&before, &after)) in data.iter().zip(buf.iter()).enumerate() {
-            let pos = offset + i as u64;
-            let expect = if pos.is_multiple_of(modulus) {
-                before ^ cipher.keystream_byte(pos)
-            } else {
-                before
-            };
-            prop_assert_eq!(after, expect, "position {}", pos);
         }
     }
 }
